@@ -37,7 +37,10 @@ noise; all vertex tests then stay within service coverage.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Container
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -126,12 +129,12 @@ class TopHCellOracle:
                 if key in tested_pass:
                     continue
                 answer = history.query(v)
-                known_before = set(known)
+                passed = _vertex_passes(answer, h, known)
                 for res in answer.results:
                     if res.location is not None and res.tid not in known:
                         known[res.tid] = res.location
                         new_info = True
-                if _vertex_passes(answer, h, known_before):
+                if passed:
                     tested_pass.add(key)
                 else:
                     all_passed = False
@@ -247,11 +250,14 @@ class TopHCellOracle:
         bisector stays farther from ``t`` than every region vertex cannot
         affect the cell)."""
         t_key = t_id if t_key is None else t_key
-        sites = [
-            (tid, loc) for tid, loc in known.items()
-            if tid != t_key and distance(loc, t_loc) > 0.0
-        ]
-        sites.sort(key=lambda item: distance(item[1], t_loc))
+        sites = []
+        for tid, loc in known.items():
+            if tid != t_key:
+                d = distance(loc, t_loc)
+                if d > 0.0:
+                    sites.append((d, tid, loc))
+        sites.sort(key=itemgetter(0))  # stable: ties keep dict order
+        dists = [d for d, _tid, _loc in sites]
         fake_planes = [
             bisector_halfplane(t_loc, loc, label=label) for label, loc in fakes.items()
         ]
@@ -259,15 +265,13 @@ class TopHCellOracle:
         take = min(len(sites), 24)
         while True:
             constraints = [
-                bisector_halfplane(t_loc, loc, label=tid) for tid, loc in sites[:take]
+                bisector_halfplane(t_loc, loc, label=tid) for _d, tid, loc in sites[:take]
             ] + fake_planes
             region = build_level_region(constraints, h - 1, base, seed=t_loc)
             reach = 0.0
             for v in region.boundary_vertices():
                 reach = max(reach, distance(v, t_loc))
-            needed = sum(
-                1 for _tid, loc in sites if distance(loc, t_loc) <= 2.0 * reach + 1e-9
-            )
+            needed = bisect_right(dists, 2.0 * reach + 1e-9)
             if needed <= take or take >= len(sites):
                 return region
             take = min(len(sites), max(needed, take * 2))
@@ -283,7 +287,7 @@ class TopHCellOracle:
         return (round(v.x / q), round(v.y / q))
 
 
-def _vertex_passes(answer, h: int, known_ids: set) -> bool:
+def _vertex_passes(answer, h: int, known_ids: Container) -> bool:
     """Top-h form of the Theorem-1 vertex test.
 
     Claim: if every boundary vertex ``v`` of the cell built from ``D'``

@@ -26,11 +26,12 @@ The same machinery serves two masters:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .halfplane import HalfPlane
-from .polygon import BBOX_LABEL, ConvexPolygon
+from .polygon import BBOX_LABEL, ConvexPolygon, _coordinate_scale
 from .primitives import EPS, Point
 
 __all__ = ["LevelRegion", "build_level_region"]
@@ -187,18 +188,10 @@ def build_level_region(
             f"seed violates {len(seed_subset)} constraints; level is {level}"
         )
 
-    def piece_for(subset: frozenset) -> ConvexPolygon:
-        poly = base
-        for j, hp in enumerate(cons):
-            plane = hp.flipped() if j in subset else hp
-            poly = poly.clip(plane.relabel(j))
-            if poly.is_empty():
-                return ConvexPolygon.empty()
-        return poly
-
-    start = piece_for(seed_subset)
+    chain = _ClipChain(cons, base)
+    start = chain.piece(seed_subset)
     if start.is_empty():
-        start, seed_subset = _rescue_seed(region, seed, piece_for, level)
+        start, seed_subset = _rescue_seed(region, seed, chain.piece, level)
         if start.is_empty():
             return region
 
@@ -213,7 +206,7 @@ def build_level_region(
             neighbour = subset ^ {label}
             if len(neighbour) > level or neighbour in region.pieces:
                 continue
-            npoly = piece_for(neighbour)
+            npoly = chain.piece(neighbour, subset, label)
             if npoly.is_empty():
                 continue
             region.pieces[neighbour] = npoly
@@ -221,6 +214,86 @@ def build_level_region(
             if len(region.pieces) > max_pieces:
                 raise RuntimeError("level region exceeded max_pieces")
     return region
+
+
+class _ClipChain:
+    """The convex piece of one violated subset ``S``: ``base`` clipped by
+    every constraint in index order, flipped when its index is in ``S``.
+
+    Two exact shortcuts over clipping by every plane:
+
+    * A plane that keeps every vertex of the current polygon is skipped.
+      The test is ``ConvexPolygon.clip``'s own: the same
+      ``a*x + b*y - c`` per vertex, against the same per-polygon
+      tolerance ``EPS * hp.scale() * _coordinate_scale(vertices)``, so
+      ``clip`` would have returned the polygon unchanged.
+    * Each piece keeps its checkpoints: the index of every plane that was
+      clipped and the polygon after it.  The chains of ``S`` and of its
+      BFS neighbour ``S ^ {j}`` agree on every plane before ``j``, so the
+      neighbour resumes from ``S``'s last checkpoint before ``j``.
+
+    Checkpoints, like the oriented planes, live for one region build.
+    """
+
+    def __init__(self, cons: tuple[HalfPlane, ...], base: ConvexPolygon):
+        self.cons = cons
+        self.base = base
+        #: j -> (a, b, c, EPS * scale) of constraint j as given
+        self.keep = [(hp.a, hp.b, hp.c, EPS * hp.scale()) for hp in cons]
+        #: j -> the same for constraint j flipped, built on first use
+        self.flip: dict[int, tuple[float, float, float, float]] = {}
+        #: (j, flipped) -> the clip plane, labelled j, built on first use
+        self.planes: dict[tuple[int, bool], HalfPlane] = {}
+        #: subset -> (indices of the clipped planes, polygon after each)
+        self.checkpoints: dict[frozenset, tuple[list[int], list[ConvexPolygon]]] = {}
+
+    def piece(self, subset: frozenset, parent: Optional[frozenset] = None,
+              toggled: int = 0) -> ConvexPolygon:
+        """The piece of ``subset``; with ``parent``, resume the chain of
+        the piece ``parent`` (``subset`` is ``parent ^ {toggled}``)."""
+        if parent is None:
+            indices, polys, start = [], [], 0
+        else:
+            parent_indices, parent_polys = self.checkpoints[parent]
+            start = max(toggled, 0)
+            cut = bisect_left(parent_indices, start)
+            indices, polys = parent_indices[:cut], parent_polys[:cut]
+        poly = polys[-1] if polys else self.base
+        vertices = poly.vertices
+        scale = _coordinate_scale(vertices)
+        keep = self.keep
+        for j in range(start, len(keep)):
+            flipped = j in subset
+            a, b, c, tol_factor = self._flipped(j) if flipped else keep[j]
+            tol = tol_factor * scale
+            for v in vertices:
+                if a * v.x + b * v.y - c > tol:
+                    break
+            else:
+                continue  # every vertex inside: clip would return poly
+            poly = poly.clip(self._plane(j, flipped))
+            if poly.is_empty():
+                return ConvexPolygon.empty()
+            vertices = poly.vertices
+            scale = _coordinate_scale(vertices)
+            indices.append(j)
+            polys.append(poly)
+        self.checkpoints[subset] = (indices, polys)
+        return poly
+
+    def _flipped(self, j: int) -> tuple[float, float, float, float]:
+        coeffs = self.flip.get(j)
+        if coeffs is None:
+            hp = self._plane(j, True)
+            coeffs = self.flip[j] = (hp.a, hp.b, hp.c, EPS * hp.scale())
+        return coeffs
+
+    def _plane(self, j: int, flipped: bool) -> HalfPlane:
+        plane = self.planes.get((j, flipped))
+        if plane is None:
+            hp = self.cons[j].flipped() if flipped else self.cons[j]
+            plane = self.planes[(j, flipped)] = hp.relabel(j)
+        return plane
 
 
 def _rescue_seed(region: LevelRegion, seed: Point, piece_for, level: int):
