@@ -15,6 +15,7 @@ from repro.core import (
     LnrLbsAgg,
     LrAggConfig,
     LrLbsAgg,
+    MaxSamples,
     QueryEngineConfig,
 )
 from repro.geometry import Point, Rect
@@ -44,7 +45,7 @@ class TestLrCountBands:
         db = make_db(60)
         api = LrLbsInterface(db, k=5, engine=QueryEngineConfig(index_backend=backend))
         agg = LrLbsAgg(api, UniformSampler(BOX), AggregateQuery.count(), seed=seed)
-        return agg.run(n_samples=60, batch_size=batch_size)
+        return agg.run(MaxSamples(60), batch_size=batch_size)
 
     def test_sequential_band(self):
         res = self._run(batch_size=1)
@@ -91,7 +92,7 @@ class TestLrCountBands:
             api = LrLbsInterface(db, k=5)
             agg = LrLbsAgg(api, UniformSampler(BOX), AggregateQuery.count(),
                            config=config, seed=2)
-            return agg.run(n_samples=30, batch_size=bs)
+            return agg.run(MaxSamples(30), batch_size=bs)
 
         seq = run(1)
         bat = run(16)
@@ -110,7 +111,7 @@ class TestLrCountBands:
                 db, k=5, engine=QueryEngineConfig(cache_size=cache_size)
             )
             agg = LrLbsAgg(api, UniformSampler(BOX), AggregateQuery.count(), seed=1)
-            return agg.run(n_samples=10, batch_size=bs)
+            return agg.run(MaxSamples(10), batch_size=bs)
 
         seq, bat = run(1), run(8)
         assert bat.estimate == seq.estimate
@@ -133,7 +134,7 @@ class TestLnrCountBands:
         db = make_db(12, seed=9)
         api = LnrLbsInterface(db, k=4)
         agg = LnrLbsAgg(api, UniformSampler(BOX), AggregateQuery.count(), seed=seed)
-        return agg.run(n_samples=25, batch_size=batch_size)
+        return agg.run(MaxSamples(25), batch_size=batch_size)
 
     def test_sequential_band(self):
         res = self._run(batch_size=1)
@@ -161,7 +162,7 @@ class TestRunArgumentValidation:
         api = LrLbsInterface(db, k=3)
         agg = LrLbsAgg(api, UniformSampler(BOX), AggregateQuery.count(), seed=0)
         with pytest.raises(ValueError):
-            agg.run(n_samples=5, batch_size=0)
+            agg.run(MaxSamples(5), batch_size=0)
 
     def test_sample_batch_stays_in_region(self):
         sampler = UniformSampler(BOX)
@@ -204,7 +205,7 @@ class TestRunArgumentValidation:
         def run(bs):
             api = LrLbsInterface(db, k=5)
             agg = LrLbsAgg(api, sampler, AggregateQuery.count(), seed=3)
-            return agg.run(n_samples=12, batch_size=bs)
+            return agg.run(MaxSamples(12), batch_size=bs)
 
         seq, bat = run(1), run(8)
         assert bat.estimate == seq.estimate

@@ -10,6 +10,7 @@ from repro.core import (
     AggregateQuery,
     LnrCellOracle,
     LnrLbsAgg,
+    MaxSamples,
     ObservationHistory,
     TupleLocalizer,
     binary_transition,
@@ -180,14 +181,14 @@ class TestLnrAgg:
         api = LnrLbsInterface(small_db, k=3)
         agg = LnrLbsAgg(api, UniformSampler(box), AggregateQuery.count(),
                         LnrAggConfig(h=1), seed=5)
-        res = agg.run(n_samples=50)
+        res = agg.run(MaxSamples(50))
         assert res.estimate == pytest.approx(len(small_db), rel=0.45)
 
     def test_avg_gender_ratio(self, small_db, box):
         api = LnrLbsInterface(small_db, k=3)
         agg = LnrLbsAgg(api, UniformSampler(box), AggregateQuery.avg("is_male"),
                         LnrAggConfig(h=1), seed=6)
-        res = agg.run(n_samples=50)
+        res = agg.run(MaxSamples(50))
         truth = small_db.ground_truth_avg("is_male")
         assert res.estimate == pytest.approx(truth, abs=0.2)
 
@@ -195,7 +196,7 @@ class TestLnrAgg:
         api = LnrLbsInterface(tiny_db, k=3)
         agg = LnrLbsAgg(api, UniformSampler(box), AggregateQuery.count(),
                         LnrAggConfig(adaptive_h=True), seed=7)
-        res = agg.run(n_samples=10)
+        res = agg.run(MaxSamples(10))
         assert res.samples == 10
         assert np.isfinite(res.estimate)
 
@@ -207,6 +208,6 @@ class TestLnrAgg:
         )
         api = LnrLbsInterface(tiny_db, k=3)
         agg = LnrLbsAgg(api, UniformSampler(box), query, LnrAggConfig(h=1), seed=8)
-        res = agg.run(n_samples=12)
+        res = agg.run(MaxSamples(12))
         assert np.isfinite(res.estimate)
         assert res.estimate >= 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AggregateQuery, LrLbsAgg, LrLbsNno, NnoConfig
+from repro.core import AggregateQuery, LrLbsAgg, LrLbsNno, MaxQueries, MaxSamples, NnoConfig
 from repro.core.config import LrAggConfig
 from repro.lbs import LnrLbsInterface, LrLbsInterface, QueryBudget
 from repro.sampling import UniformSampler
@@ -12,7 +12,7 @@ from repro.sampling import UniformSampler
 def run_lr(db, box, query, config=None, seed=0, n_samples=80, k=3):
     api = LrLbsInterface(db, k=k)
     agg = LrLbsAgg(api, UniformSampler(box), query, config or LrAggConfig(), seed=seed)
-    return agg.run(n_samples=n_samples)
+    return agg.run(MaxSamples(n_samples))
 
 
 class TestLrAggCount:
@@ -56,7 +56,7 @@ class TestLrAggCount:
         schools = api.filtered(lambda t: t["category"] == "school")
         agg = LrLbsAgg(schools, UniformSampler(box), AggregateQuery.count(),
                        LrAggConfig(), seed=2)
-        res = agg.run(n_samples=60)
+        res = agg.run(MaxSamples(60))
         truth = small_db.ground_truth_count(lambda t: t["category"] == "school")
         assert res.estimate == pytest.approx(truth, rel=0.4)
 
@@ -82,13 +82,13 @@ class TestLrAggMechanics:
     def test_budget_stops_cleanly(self, small_db, box):
         api = LrLbsInterface(small_db, k=3, budget=QueryBudget(40))
         agg = LrLbsAgg(api, UniformSampler(box), AggregateQuery.count(), seed=0)
-        res = agg.run(n_samples=10_000)
+        res = agg.run(MaxSamples(10_000))
         assert res.queries <= 40
 
     def test_max_queries_respected_approximately(self, small_db, box):
         api = LrLbsInterface(small_db, k=3)
         agg = LrLbsAgg(api, UniformSampler(box), AggregateQuery.count(), seed=0)
-        res = agg.run(max_queries=100)
+        res = agg.run(MaxQueries(100))
         # One in-flight sample may overshoot, but not by more than a cell.
         assert res.queries < 400
 
@@ -117,7 +117,7 @@ class TestMaxRadiusEstimation:
             api = LrLbsInterface(small_db, k=3, max_radius=15.0)
             agg = LrLbsAgg(api, UniformSampler(box), AggregateQuery.count(),
                            LrAggConfig(), seed=s)
-            estimates.append(agg.run(n_samples=60).estimate)
+            estimates.append(agg.run(MaxSamples(60)).estimate)
         assert float(np.mean(estimates)) == pytest.approx(len(small_db), rel=0.3)
 
 
@@ -125,14 +125,14 @@ class TestNnoBaseline:
     def test_produces_estimate(self, small_db, box):
         api = LrLbsInterface(small_db, k=3)
         nno = LrLbsNno(api, UniformSampler(box), AggregateQuery.count(), seed=0)
-        res = nno.run(n_samples=40)
+        res = nno.run(MaxSamples(40))
         assert res.samples == 40
         assert res.estimate > 0
 
     def test_more_queries_per_sample_than_agg(self, small_db, box):
         api1 = LrLbsInterface(small_db, k=3)
         nno = LrLbsNno(api1, UniformSampler(box), AggregateQuery.count(), seed=0)
-        nno_res = nno.run(n_samples=30)
+        nno_res = nno.run(MaxSamples(30))
         agg_res = run_lr(small_db, box, AggregateQuery.count(), seed=0, n_samples=30)
         # NNO spends a fixed probe budget per sample; AGG amortizes via
         # history, so over 30 samples it must be cheaper.
@@ -147,5 +147,5 @@ class TestNnoBaseline:
         api = LrLbsInterface(small_db, k=3)
         nno = LrLbsNno(api, UniformSampler(box), AggregateQuery.count(),
                        NnoConfig(area_probes=5, boundary_probes=3), seed=0)
-        res = nno.run(n_samples=10)
+        res = nno.run(MaxSamples(10))
         assert res.queries >= 10 * (1 + 5)  # query + area probes at least
