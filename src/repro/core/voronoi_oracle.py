@@ -257,7 +257,6 @@ class TopHCellOracle:
                 if d > 0.0:
                     sites.append((d, tid, loc))
         sites.sort(key=itemgetter(0))  # stable: ties keep dict order
-        dists = [d for d, _tid, _loc in sites]
         fake_planes = [
             bisector_halfplane(t_loc, loc, label=label) for label, loc in fakes.items()
         ]
@@ -271,7 +270,7 @@ class TopHCellOracle:
             reach = 0.0
             for v in region.boundary_vertices():
                 reach = max(reach, distance(v, t_loc))
-            needed = bisect_right(dists, 2.0 * reach + 1e-9)
+            needed = bisect_right(sites, 2.0 * reach + 1e-9, key=itemgetter(0))
             if needed <= take or take >= len(sites):
                 return region
             take = min(len(sites), max(needed, take * 2))

@@ -255,7 +255,7 @@ class _ClipChain:
             indices, polys, start = [], [], 0
         else:
             parent_indices, parent_polys = self.checkpoints[parent]
-            start = max(toggled, 0)
+            start = max(toggled, 0)  # a base edge may carry a negative int label
             cut = bisect_left(parent_indices, start)
             indices, polys = parent_indices[:cut], parent_polys[:cut]
         poly = polys[-1] if polys else self.base

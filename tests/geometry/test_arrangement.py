@@ -283,6 +283,18 @@ class TestKernelMatchesReference:
         assert region.violated_subset(q) not in region.pieces
         assert region.area() > 0.0
 
+    @given(st.integers(0, 10_000), st.integers(1, 15), st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_base_edges_with_int_labels(self, seed, n, level):
+        # The search toggles any int edge label, including a base edge's
+        # that is negative, out of range or equal to a constraint index.
+        rng = np.random.default_rng(seed)
+        sites = random_sites(rng, n + 1)
+        t = sites[0]
+        base = ConvexPolygon(BOX.corners(), [-1, n + 5, 0, "bbox"])
+        cons = [bisector_halfplane(t, u, label=i) for i, u in enumerate(sites[1:])]
+        assert_matches_reference(cons, level, base, t)
+
     @given(st.integers(0, 10_000), st.integers(0, 30), st.integers(0, 3),
            st.floats(5.0, 80.0))
     @settings(max_examples=40, deadline=None)
