@@ -23,8 +23,8 @@ What is shared, and why it is safe:
   it executes; index construction is deterministic, so a shared index
   answers bit-identically to a per-run one.
 
-Workers stream a :class:`RunProgress` event per checkpoint over the
-result queue, and optionally persist each run's
+Workers stream a :class:`RunProgress` event per checkpoint over their
+result pipes, and optionally persist each run's
 :meth:`~repro.api.SessionRun.to_state` JSON (atomic replace) every
 ``state_every`` samples — a run interrupted mid-stream resumes from its
 checkpoint file via :meth:`repro.api.Session.resume` like any
@@ -55,8 +55,8 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import os
-import queue as queue_mod
 import time
 import traceback
 from collections import deque
@@ -168,7 +168,7 @@ def _load_resume_state(state_path: Optional[str], attempt: int) -> Optional[dict
 
 
 def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
-                 eff_key, results_q, checkpoint_dir, state_every, attempt):
+                 eff_key, results, checkpoint_dir, state_every, attempt):
     spec = EstimationSpec.from_json(spec_json)
     eff = shared.extra(eff_key) if eff_key is not None else None
     engine = spec.engine if spec.engine is not None else QueryEngineConfig()
@@ -200,7 +200,7 @@ def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
         hook = _test_checkpoint_hook
         if hook is not None:
             hook(run_index, cp.samples, attempt)
-        results_q.put(("progress", run_index, cp.samples, cp.queries, cp.estimate))
+        results.send(("progress", run_index, cp.samples, cp.queries, cp.estimate))
         if state_path is not None and state_every is not None \
                 and cp.samples % state_every == 0:
             # Between checkpoint yields the iterator is at rest, so
@@ -212,7 +212,7 @@ def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
     return run.result()
 
 
-def _worker_main(descriptor, task_q, results_q, checkpoint_dir, state_every,
+def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
                  collect):
     shared = SharedWorld.attach(descriptor)
     try:
@@ -234,20 +234,20 @@ def _worker_main(descriptor, task_q, results_q, checkpoint_dir, state_every,
                     with _obs.collecting(reg):
                         result = _execute_run(
                             world, db, shared, indexes, run_index, spec_json,
-                            until, eff_key, results_q, checkpoint_dir,
+                            until, eff_key, results, checkpoint_dir,
                             state_every, attempt,
                         )
                 else:
                     result = _execute_run(
                         world, db, shared, indexes, run_index, spec_json,
-                        until, eff_key, results_q, checkpoint_dir,
+                        until, eff_key, results, checkpoint_dir,
                         state_every, attempt,
                     )
                 snap = reg.to_dict() if reg is not None else None
-                results_q.put(("done", run_index, attempt, result, snap))
+                results.send(("done", run_index, attempt, result, snap))
             except Exception:
                 snap = reg.to_dict() if reg is not None else None
-                results_q.put(("error", run_index, attempt, spec_json,
+                results.send(("error", run_index, attempt, spec_json,
                                traceback.format_exc(), snap))
     finally:
         shared.close()
@@ -263,13 +263,22 @@ class _Worker:
     knows exactly which run a dead worker was holding — there is no
     window where a task has been taken off a shared queue but not yet
     announced.
+
+    Each worker also owns a private result pipe, which it writes
+    synchronously from its main thread.  A worker that dies mid-write
+    can tear only its own last message.  A queue shared by all workers
+    would be written by each worker's feeder thread under one
+    cross-process lock, and a worker killed while its feeder held that
+    lock would block every other worker's messages for good.
     """
 
-    __slots__ = ("proc", "task_q", "run_index", "attempt", "last_activity")
+    __slots__ = ("proc", "task_q", "results", "run_index", "attempt",
+                 "last_activity")
 
-    def __init__(self, proc, task_q):
+    def __init__(self, proc, task_q, results):
         self.proc = proc
         self.task_q = task_q
+        self.results = results  # read end of the worker's result pipe
         self.run_index: Optional[int] = None  # None = idle
         self.attempt = 0
         self.last_activity = time.monotonic()
@@ -440,11 +449,10 @@ def run_many_parallel(
             parent_reg.inc(name, 1.0, labels)
 
     shared = SharedWorld.export(world, extras=eff_arrays)
-    results_q = ctx.Queue()
     descriptor = shared.descriptor()
 
     pool: list[_Worker] = []          # live (or not-yet-reaped) workers
-    all_procs: list = []              # every process ever spawned
+    all_workers: list[_Worker] = []   # every worker ever spawned
     spawned = 0
     max_spawns = workers * (retries + 1)
     pending: deque = deque((i, 0) for i in range(len(specs)))
@@ -456,16 +464,20 @@ def run_many_parallel(
     def spawn_worker() -> _Worker:
         nonlocal spawned
         task_q = ctx.Queue()
+        reader, writer = ctx.Pipe(duplex=False)
         p = ctx.Process(
             target=_worker_main,
-            args=(descriptor, task_q, results_q, checkpoint_dir,
+            args=(descriptor, task_q, writer, checkpoint_dir,
                   state_every, collect),
             daemon=True,
         )
         p.start()
+        # Only the worker may hold the write end: its death then reads
+        # as end-of-file here, and later forks do not inherit it.
+        writer.close()
         spawned += 1
-        all_procs.append(p)
-        w = _Worker(p, task_q)
+        w = _Worker(p, task_q, reader)
+        all_workers.append(w)
         pool.append(w)
         return w
 
@@ -476,9 +488,19 @@ def run_many_parallel(
         settled_runs.add(run_index)
         pinc("parallel_runs_total", {"outcome": "crashed"})
 
+    def drain(w: _Worker) -> None:
+        """Absorb every complete message waiting on ``w``'s pipe."""
+        try:
+            while w.results.poll():
+                absorb(w.results.recv())
+        except (EOFError, OSError):
+            pass  # the worker is gone; a torn last message is dropped
+
     def handle_lost_worker(w: _Worker, reason: str, exitcode) -> None:
         """A dead (already-reaped) or killed worker leaves the pool; its
-        in-flight run is re-enqueued or settled."""
+        in-flight run is re-enqueued or settled.  What it sent before it
+        was lost counts first, so a run it completed is not retried."""
+        drain(w)
         pool.remove(w)
         if w.run_index is None:
             return
@@ -510,9 +532,9 @@ def run_many_parallel(
         if kind == "done":
             _kind, run_index, attempt, result, snap = msg
             if run_index in settled_runs:
-                # A worker killed as hung can have raced its completion
-                # onto the queue before dying while the retry also ran;
-                # both completions are bit-identical — count one.
+                # A lost worker's pipe is drained before its run is
+                # retried, so a second completion is not expected; if
+                # one arrives, both are bit-identical — count one.
                 return
             settled_runs.add(run_index)
             results[run_index] = result
@@ -587,27 +609,21 @@ def run_many_parallel(
                         f"limit {max_spawns}); run never got a worker",
                     )
                 continue
-            # 6) Drain results.  queue.Empty is the *only* exception
-            #    swallowed here, and only to loop back into the
-            #    liveness/watchdog checks above — a dead pool cannot
-            #    spin: step 1 recovers or settles its runs, steps 3/5
-            #    rebuild or fail out.
-            try:
-                msg = results_q.get(timeout=0.25)
-            except queue_mod.Empty:
-                continue
-            absorb(msg)
-            while True:  # flush whatever else already arrived
-                try:
-                    msg = results_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                absorb(msg)
+            # 6) Drain results.  The wait times out only to loop back
+            #    into the liveness/watchdog checks above — a dead pool
+            #    cannot spin: step 1 recovers or settles its runs, steps
+            #    3/5 rebuild or fail out.
+            ready = mp_connection.wait([w.results for w in pool], timeout=0.25)
+            for w in list(pool):
+                if w.results in ready:
+                    drain(w)
 
         for w in pool:
             w.task_q.put(None)  # all runs settled: workers may exit
     finally:
-        _reap(all_procs)
+        _reap([w.proc for w in all_workers])
+        for w in all_workers:
+            w.results.close()
         shared.destroy()
     if failures:
         raise ParallelRunError(failures, results)

@@ -3,6 +3,8 @@
 import json
 import multiprocessing as mp
 import os
+import struct
+import sys
 import time
 
 import pytest
@@ -137,6 +139,28 @@ class TestCrashRecovery:
                   for s in metrics["parallel_worker_deaths_total"]["series"]}
         assert deaths == {"hung": 1.0}
         assert metrics["runs_recovered_total"]["series"][0]["value"] == 1.0
+
+    def test_worker_dying_mid_message_stalls_no_other_worker(
+        self, lr_specs, checkpoint_hook
+    ):
+        """A worker killed halfway through sending a message tears only
+        its own result pipe: the other workers' results still arrive and
+        the lost run is retried.  The watchdog turns a stalled pool into
+        a failure here rather than a hang."""
+        until = MaxSamples(15)
+        seq = sequential(lr_specs, until)
+
+        def tear_and_die(run_index, samples, attempt):
+            if run_index == 0 and samples == 8 and attempt == 0:
+                pipe = sys._getframe(1).f_locals["results"]  # this worker's
+                # A message header promising 256 bytes, then only four.
+                os.write(pipe.fileno(), struct.pack("!i", 256) + b"torn")
+                os._exit(9)
+
+        checkpoint_hook(tear_and_die)
+        par = run_many_parallel(lr_specs, until, workers=2, retries=2,
+                                run_deadline=10.0)
+        assert_results_identical(seq, par)
 
     def test_no_zombie_children_after_recovery(self, lr_specs, checkpoint_hook):
         def crash_once(run_index, samples, attempt):
