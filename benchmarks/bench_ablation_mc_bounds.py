@@ -9,7 +9,7 @@ bound is already tight.
 import numpy as np
 from _bench_utils import run_once
 
-from repro.core import AggregateQuery, LrLbsAgg
+from repro.core import AggregateQuery, LrLbsAgg, MaxSamples
 from repro.core.config import LrAggConfig
 from repro.lbs import LrLbsInterface
 from repro.sampling import UniformSampler
@@ -26,7 +26,7 @@ def test_mc_bounds_ablation(benchmark, bench_world):
             api, sampler, query,
             LrAggConfig(use_mc_bounds=use_mc, mc_tightness=0.25), seed=seed,
         )
-        return agg.run(n_samples=60)
+        return agg.run(MaxSamples(60))
 
     def compute():
         on = [run_variant(True, s) for s in range(3)]

@@ -14,15 +14,12 @@ matrix prominence) is measured against.  Recorded per combination:
 * obfuscated-interface build time down both paths — the ``{tid: Point}``
   jitter dict + per-point clamp loop vs one columnar ``(N, 2)`` draw +
   vectorized clip/clamp + array-native index — and their speedup,
-* index build time per backend (plus the index's own ``stats()``
-  counters when it keeps them — the grid's chunked-vs-fallback split
-  and the sharded index's settled/escalated routing),
+* index build time per backend (plus the index's own ``counters()``
+  when it keeps them — the grid's chunked-vs-fallback split and the
+  sharded index's settled/escalated routing),
 * kNN throughput at each batch size (``1`` = the scalar single-query
   path; larger sizes go through the vectorized ``knn_batch`` kernel in
-  chunks of that size),
-* ``sharded_qps``: one kNN batch routed by home tile and fanned across
-  worker processes over a SharedWorld (tiles × workers; each worker
-  builds only the tiles its queries touch).
+  chunks of that size).
 
 Backends that cannot sensibly run a size are *skipped and recorded*
 (no silent caps): the pure-Python KD-tree build and the O(n)-per-query
@@ -49,10 +46,9 @@ import numpy as np
 from repro import worlds
 from repro.api import MaxSamples, Session
 from repro.index import make_index, make_index_arrays
-from repro.index.sharded import auto_tiles_per_side
 from repro.lbs import ObfuscationModel, SpatialDatabase
 from repro.obs import registry as obs
-from repro.parallel import WorldCache, parallel_knn_batch, run_many_parallel
+from repro.parallel import WorldCache, run_many_parallel
 from repro.worlds.attrs import synthesize_columns, synthesize_tuples
 
 K = 5
@@ -86,13 +82,8 @@ CACHE_FLOOR_100K = 2.0
 #: 4 workers vs 1 on the full-scale wechat world — only meaningful on a
 #: machine that has the cores, so the assertion is cpu-gated.
 PARALLEL_FLOOR_4W = 3.0
-#: One kNN batch fanned across workers by home tile (sharded_qps rows);
-#: query count per measurement, and the cpu-gated 2-worker floor on the
-#: full-scale wechat world.
-SHARDED_QUERIES = {True: 1_000, False: 4_000}
-SHARDED_FLOOR_2W = 1.5
 #: GridIndex's batched kernel may drop heavy-tail queries to the exact
-#: per-query path; the ``stats()`` counters make that visible, and this
+#: per-query path; its ``counters()`` make that visible, and this
 #: budget caps the fraction (measured: 0% on paper/clustered at 10k-1M,
 #: 0.05% on wechat-like-1m — a regression to per-query search shows up
 #: as a jump toward 1.0 long before wall-clock makes it obvious).
@@ -240,54 +231,6 @@ def bench_parallel_runs(world, quick: bool) -> dict:
     return out
 
 
-def bench_sharded_parallel(world, quick: bool,
-                           rng: np.random.Generator) -> dict:
-    """One kNN batch fanned across workers by home tile.
-
-    Every worker count pays the same SharedWorld export, fork, and
-    per-worker shell build, so ``speedup_vs_1`` is the scaling of the
-    real end-to-end path (dominated by the touched-tile builds, which
-    is exactly the work the sharding splits).  The tile count is forced
-    to at least 4 per side so multi-worker rows have tile groups to
-    split even at quick scale.
-    """
-    n = len(world.db)
-    tiles = max(4, auto_tiles_per_side(n))
-    region = world.db.region
-    nq = SHARDED_QUERIES[quick]
-    u = rng.random((nq, 2))
-    queries = [
-        (float(region.x0 + ux * region.width),
-         float(region.y0 + uy * region.height))
-        for ux, uy in u
-    ]
-    out: dict = {
-        "n_queries": nq,
-        "k": K,
-        "tiles_per_side": tiles,
-        "workers": {},
-    }
-    baseline = None
-    for w in PARALLEL_WORKERS:
-        gc.collect()
-        t0 = time.perf_counter()
-        _answers, stats = parallel_knn_batch(
-            world, queries, K, workers=w, tiles_per_side=tiles,
-            return_stats=True,
-        )
-        wall = time.perf_counter() - t0
-        if baseline is None:
-            baseline = wall
-        out["workers"][str(w)] = {
-            "wall_seconds": round(wall, 3),
-            "qps": round(nq / wall, 1),
-            "speedup_vs_1": round(baseline / wall, 2),
-            "tiles_built": [s["tiles_built"] for s in stats],
-            "tiles_nonempty": stats[0]["tiles_nonempty"] if stats else 0,
-        }
-    return out
-
-
 def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
     """Enabled-vs-disabled cost of the obs registry on the hottest path.
 
@@ -414,7 +357,6 @@ def bench_world(name: str, n: int, quick: bool, rng: np.random.Generator) -> dic
     # tuple-heavy) process — neither may sit inside a timed knn loop.
     row["world_cache_seconds"] = bench_world_cache(world, build_s)
     row["parallel_qps"] = bench_parallel_runs(world, quick)
-    row["sharded_qps"] = bench_sharded_parallel(world, quick, rng)
     return row
 
 
@@ -446,7 +388,6 @@ def run_bench(quick: bool = False) -> dict:
             "worlds": worlds.names(),
             "cpu_count": os.cpu_count(),
             "parallel_workers": list(PARALLEL_WORKERS),
-            "sharded_queries": SHARDED_QUERIES[quick],
         },
         "obs_overhead": overhead,
         "results": results,
@@ -518,15 +459,6 @@ def check_report(report: dict) -> None:
                 f"{g[top_batch] / g['1']:.1f}x the scalar path "
                 f"(floor {CLUSTERED_BATCH_FLOOR}x)"
             )
-        sharded = row["sharded_qps"]
-        assert set(sharded["workers"]) == {str(w) for w in
-                                           meta["parallel_workers"]}
-        for w, entry in sharded["workers"].items():
-            assert entry["qps"] > 0, (
-                f"{row['world']}@{row['n']}: no sharded kNN throughput "
-                f"at {w} workers"
-            )
-            assert entry["tiles_nonempty"] > 0
         cache = row["world_cache_seconds"]
         assert cache["hit"] > 0 and cache["store"] > 0
         if row["n"] >= 1_000_000:
@@ -558,15 +490,6 @@ def check_report(report: dict) -> None:
                     f"wechat-like-1m@{row['n']}: 4 workers only {got}x one "
                     f"worker on a {cpus}-CPU machine "
                     f"(floor {PARALLEL_FLOOR_4W}x)"
-                )
-    if cpus >= 2:
-        for row in report["results"]:
-            if row["world"] == "wechat-like-1m" and row["n"] >= 1_000_000:
-                got = row["sharded_qps"]["workers"]["2"]["speedup_vs_1"]
-                assert got >= SHARDED_FLOOR_2W, (
-                    f"wechat-like-1m@{row['n']}: sharded kNN fan-out at 2 "
-                    f"workers only {got}x one worker on a {cpus}-CPU "
-                    f"machine (floor {SHARDED_FLOOR_2W}x)"
                 )
 
 

@@ -21,9 +21,8 @@ bit-identically::
     result = Session.resume(world, state).run()        # ...and continue, bit-identically
 
 The low-level driver classes (:class:`~repro.core.LrLbsAgg` etc.)
-remain available and share the same streaming machinery; their old
-``run(max_queries=..., n_samples=...)`` signature survives as a
-deprecated shim.
+remain available and share the same streaming machinery; their
+``run`` takes the same stopping rules.
 """
 
 from ..core.stopping import (

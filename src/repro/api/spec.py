@@ -39,6 +39,22 @@ AGGREGATES = ("count", "sum", "avg")
 _CONFIG_TYPES = {"lr": LrAggConfig, "lnr": LnrAggConfig, "nno": NnoConfig}
 
 
+def _engine_from_dict(data: dict) -> QueryEngineConfig:
+    """Rebuild an engine config.
+
+    Documents written before ``auto_sharded_min`` was removed carry it,
+    null unless a user set it: a null is dropped, a set value refused.
+    """
+    data = dict(data)
+    if data.pop("auto_sharded_min", None) is not None:
+        raise ValueError(
+            "engine.auto_sharded_min was removed: 'auto' no longer picks "
+            "the sharded index by size; choose it explicitly with "
+            'index_backend="sharded"'
+        )
+    return QueryEngineConfig(**data)
+
+
 def interface_kind(method: str) -> str:
     """The interface family a method queries (NNO reads locations too)."""
     return "lnr" if method == "lnr" else "lr"
@@ -231,7 +247,7 @@ class EstimationSpec:
             sampler=data.get("sampler", "uniform"),
             interface=InterfaceSpec.from_dict(interface) if interface is not None else None,
             world=WorldSpec.from_dict(world) if world is not None else None,
-            engine=QueryEngineConfig(**engine) if engine is not None else None,
+            engine=_engine_from_dict(engine) if engine is not None else None,
             config=_CONFIG_TYPES[method](**config) if config is not None else None,
             seed=data.get("seed", 0),
             batch_size=data.get("batch_size", 1),

@@ -31,7 +31,6 @@ driver-specific state.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterator, Optional
 
 from ..geometry import Point
@@ -46,7 +45,7 @@ from ..stats import (
     TracePoint,
     normal_ci,
 )
-from .stopping import StoppingRule, legacy_rule
+from .stopping import StoppingRule
 
 __all__ = ["EstimationDriver", "run_iter", "build_result"]
 
@@ -280,8 +279,6 @@ class EstimationDriver:
         until: Optional[StoppingRule] = None,
         *,
         batch_size: int = 1,
-        max_queries: Optional[int] = None,
-        n_samples: Optional[int] = None,
     ) -> EstimationResult:
         """Run until the stopping rule fires and return the result.
 
@@ -303,27 +300,11 @@ class EstimationDriver:
         batch's queries up front, so a *query*-bound run (``MaxQueries``
         or an interface budget) can stop up to a batch earlier than its
         sequential twin.
-
-        The pre-stopping-rule signature ``run(max_queries=...,
-        n_samples=...)`` still works but is deprecated.
         """
-        if isinstance(until, int):
-            warnings.warn(
-                "run(N) is deprecated; pass run(MaxQueries(N))",
-                DeprecationWarning, stacklevel=2,
-            )
-            until, max_queries = None, until
         if until is None:
-            until = legacy_rule(max_queries, n_samples)  # raises if both None
-            warnings.warn(
-                "run(max_queries=..., n_samples=...) is deprecated; pass a "
-                "stopping rule: run(MaxQueries(...) | MaxSamples(...))",
-                DeprecationWarning, stacklevel=2,
-            )
-        elif max_queries is not None or n_samples is not None:
             raise ValueError(
-                "pass either a stopping rule or the deprecated "
-                "max_queries/n_samples pair, not both"
+                "run() needs a stopping rule, e.g. run(MaxQueries(5000)) or "
+                "run(MaxQueries(5000) | MaxSamples(100))"
             )
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -191,15 +191,3 @@ def stopping_rule_from_dict(data: dict) -> StoppingRule:
         return AnyRule(*(stopping_rule_from_dict(d) for d in data["rules"]))
     raise ValueError(f"unknown stopping rule {kind!r}")
 
-
-def legacy_rule(max_queries: Optional[int], n_samples: Optional[int]) -> StoppingRule:
-    """The rule equivalent of the deprecated ``run(max_queries=...,
-    n_samples=...)`` pair (at least one must be given)."""
-    rules: list[StoppingRule] = []
-    if max_queries is not None:
-        rules.append(MaxQueries(max_queries))
-    if n_samples is not None:
-        rules.append(MaxSamples(n_samples))
-    if not rules:
-        raise ValueError("provide max_queries and/or n_samples")
-    return rules[0] if len(rules) == 1 else AnyRule(*rules)

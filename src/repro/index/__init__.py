@@ -6,8 +6,8 @@ Four interchangeable backends implement :class:`SpatialIndex`:
   latency, no vectorized batch kernel;
 * :class:`GridIndex` — NumPy uniform grid; the batched workhorse;
 * :class:`ShardedGridIndex` — a two-level grid of lazy ``GridIndex``
-  tiles; the large-world backend (per-tile grids adapt to local
-  density, and tiles shard across processes);
+  tiles; per-tile grids adapt to local density and only touched tiles
+  get built (never picked by ``"auto"``: the grid is faster);
 * :class:`BruteForceIndex` — the O(n) oracle; its batch path is a fully
   vectorized distance matrix, unbeatable on tiny databases.
 

@@ -19,10 +19,12 @@ batched counterparts — under one shared contract:
 Backends are interchangeable: :class:`~repro.index.kdtree.KdTree`
 (pure-Python best-first search, great single-query latency on small
 databases), :class:`~repro.index.grid.GridIndex` (NumPy uniform grid,
-built for vectorized batches), and
+built for vectorized batches),
+:class:`~repro.index.sharded.ShardedGridIndex` (a two-level grid of
+lazily built grid tiles), and
 :class:`~repro.index.brute.BruteForceIndex` (the O(n) oracle, whose
 batched form is a fully vectorized distance matrix).  The equivalence
-test suite (`tests/index/test_index_equivalence.py`) holds all three to
+test suite (`tests/index/test_index_equivalence.py`) holds all four to
 the contract on randomized inputs.
 """
 
@@ -90,9 +92,15 @@ class QueryEngineConfig:
         ``"sharded"``.  Auto picks by database size: brute-force
         vectorized scans win on tiny databases (the candidate-gathering
         overhead of smarter indexes dominates) and the uniform grid wins
-        above that; the tile-sharded two-level grid is an opt-in for
-        build-dominated and multi-process workloads (see
-        ``auto_sharded_min``).
+        above that.  Auto never picks the tile-sharded two-level grid:
+        measured on the ``repro.worlds`` registry (batch-512 kNN, k=5,
+        uniform queries, best-of-5 interleaved rounds), the monolithic
+        grid answered ~124k vs ~103k q/s on ``wechat-like-1m`` at 1M,
+        ~132k vs ~117k on ``paper/clustered`` at 1M and ~133k vs ~99k
+        at 4M.  What sharding buys instead is *lazy* structure — its
+        shell build is ~2.7x cheaper than a full grid build at 4M and
+        each tile's grid is built on first touch — so ``"sharded"`` is
+        an explicit choice for build-dominated runs on huge worlds.
     auto_brute_max:
         Largest database size for which ``"auto"`` picks brute force.
         The default is the crossover measured on the ``repro.worlds``
@@ -104,33 +112,6 @@ class QueryEngineConfig:
         batched kernel prefers the grid at *every* size (~1.8x even at
         n=16), but at sub-crossover sizes both clear 150k q/s, so the
         scalar path — where the gap reaches 6x — decides the default.
-    auto_sharded_min:
-        Smallest database size for which ``"auto"`` picks the
-        tile-sharded grid over the monolithic one; ``None`` (the
-        default) means auto never picks it.  Measured on the
-        ``repro.worlds`` registry (batch-512 kNN, k=5, uniform queries,
-        best-of-5 interleaved rounds on this container):
-
-        ========= ============ ========== ============= ===========
-        n          world        grid q/s   sharded q/s   tiles/side
-        ========= ============ ========== ============= ===========
-        1M        wechat-like   ~124k      ~103k         2
-        1M        clustered     ~132k      ~117k         2
-        4M        clustered     ~133k      ~99k          8
-        ========= ============ ========== ============= ===========
-
-        The monolithic grid wins raw batch throughput at every size
-        measured — the sharded index pays per-query tile routing, a
-        boundary-settlement test, and cross-tile escalations on top of
-        the same cell kernel.  What it buys instead is *lazy* structure:
-        the shell build (binning points into tiles, no per-tile grids)
-        is ~2.7x cheaper than a full grid build at 4M (1.3s vs 3.5s),
-        and each tile's grid is built only when a query touches it — so
-        a worker that handles a spatially clustered slice of a fan-out
-        builds a fraction of the index, and short query runs on huge
-        databases never pay for the cold regions.  Set a finite
-        threshold only for such build-dominated workloads; throughput-
-        bound single-process runs should keep the grid.
     cache_size:
         Capacity of the per-interface LRU query-answer cache (number of
         distinct snapped query locations).  ``0`` disables caching.
@@ -145,7 +126,6 @@ class QueryEngineConfig:
     auto_brute_max: int = 96
     cache_size: int = 65536
     snap_resolution: Optional[float] = None
-    auto_sharded_min: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.index_backend != "auto" and self.index_backend not in _backends():
@@ -190,22 +170,13 @@ def _backends() -> dict:
     }
 
 
-def _resolve_backend(
-    backend: str, n: int, auto_brute_max: int,
-    auto_sharded_min: Optional[int] = None,
-) -> type:
+def _resolve_backend(backend: str, n: int, auto_brute_max: int) -> type:
     """The one backend-selection rule shared by both constructors:
-    ``"auto"`` picks brute force up to ``auto_brute_max`` points, the
-    tile-sharded grid from ``auto_sharded_min`` points up (when that
-    threshold is set), and the monolithic uniform grid in between."""
+    ``"auto"`` picks brute force up to ``auto_brute_max`` points and the
+    uniform grid above that."""
     registry = _backends()
     if backend == "auto":
-        if n <= auto_brute_max:
-            backend = "brute"
-        elif auto_sharded_min is not None and n >= auto_sharded_min:
-            backend = "sharded"
-        else:
-            backend = "grid"
+        backend = "brute" if n <= auto_brute_max else "grid"
     try:
         return registry[backend]
     except KeyError:
@@ -220,19 +191,17 @@ def make_index(
     backend: str = "auto",
     *,
     auto_brute_max: int = 96,
-    auto_sharded_min: Optional[int] = None,
 ) -> SpatialIndex:
     """Build a spatial index over ``points``.
 
     ``backend`` is ``"kdtree"``, ``"grid"``, ``"brute"``, ``"sharded"``,
     or ``"auto"`` (brute force up to ``auto_brute_max`` points, the
-    tile-sharded grid from ``auto_sharded_min`` points when that
-    threshold is set, the uniform grid otherwise — crossovers measured
-    on the worlds registry scenarios; see :class:`QueryEngineConfig`).
+    uniform grid otherwise — the crossover measured on the worlds
+    registry scenarios; see :class:`QueryEngineConfig`).
     All backends return identical answers; only throughput differs.
     """
     pts = points if isinstance(points, list) else list(points)
-    cls = _resolve_backend(backend, len(pts), auto_brute_max, auto_sharded_min)
+    cls = _resolve_backend(backend, len(pts), auto_brute_max)
     with _span("index_build", backend=cls.__name__):
         return cls(pts)
 
@@ -243,7 +212,6 @@ def make_index_arrays(
     backend: str = "auto",
     *,
     auto_brute_max: int = 96,
-    auto_sharded_min: Optional[int] = None,
 ) -> SpatialIndex:
     """Build a spatial index straight from coordinate arrays.
 
@@ -259,7 +227,7 @@ def make_index_arrays(
     xy = np.ascontiguousarray(xy, dtype=np.float64)
     if xy.ndim != 2 or xy.shape[1] != 2:
         raise ValueError("xy must be an (N, 2) coordinate array")
-    cls = _resolve_backend(backend, len(xy), auto_brute_max, auto_sharded_min)
+    cls = _resolve_backend(backend, len(xy), auto_brute_max)
     with _span("index_build", backend=cls.__name__):
         from_arrays = getattr(cls, "from_arrays", None)
         if from_arrays is not None:

@@ -22,7 +22,6 @@ be pruned), never the ordering itself.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -180,16 +179,6 @@ class GridIndex:
         """Explicitly zero the batch-path counters (nothing else does)."""
         for key in self._stats:
             self._stats[key] = 0
-
-    def stats(self) -> dict:
-        """Deprecated alias of :meth:`counters`; removed next release."""
-        warnings.warn(
-            "GridIndex.stats() is deprecated; use counters() (same dict) "
-            "or the repro.obs registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.counters()
 
     def _cell_x(self, v: float) -> int:
         """Clamp-then-truncate a float cell coordinate (clamping first

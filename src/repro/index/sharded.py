@@ -12,11 +12,9 @@ Two properties fall out of the split:
   sets around dense clusters shrink by orders of magnitude, which is
   exactly the heavy-tail case where the monolithic grid's batch kernel
   falls back to per-query search (see ``GridIndex.counters()``).
-* **Independence.**  Tiles are built lazily, one frozen ``GridIndex``
-  per tile over a row-slice of the columnar store.  A process that only
-  ever queries a corner of the world only pays for that corner's tiles —
-  the property ``repro.parallel.shardedknn`` exploits to fan per-tile
-  kNN out across workers over one shared-memory world.
+* **Laziness.**  Tiles are built lazily, one frozen ``GridIndex``
+  per tile over a row-slice of the columnar store.  A run that only
+  ever queries a corner of the world only pays for that corner's tiles.
 
 Routing: a kNN query lands in its *home tile* (the tile whose cell
 contains it).  The home tile's own top-k gives an upper bound on the
@@ -40,7 +38,6 @@ holds this backend to the same contract as the other three.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -48,7 +45,7 @@ import numpy as np
 from ..obs import registry as _obs
 from .grid import GridIndex, _SLACK
 
-__all__ = ["ShardedGridIndex", "auto_tiles_per_side", "route_home_tiles"]
+__all__ = ["ShardedGridIndex", "auto_tiles_per_side"]
 
 # Shared label dicts for the registry hot path (never mutated).
 _SHARDED = {"backend": "sharded"}
@@ -72,39 +69,6 @@ def auto_tiles_per_side(n: int) -> int:
     return max(1, min(_MAX_TILES_PER_SIDE, round(math.sqrt(n / _TARGET_PER_TILE))))
 
 
-def route_home_tiles(
-    data_xy: np.ndarray,
-    query_xy: np.ndarray,
-    tiles_per_side: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Home-tile ids for ``query_xy`` under the tile geometry a
-    :class:`ShardedGridIndex` would derive from ``data_xy``.
-
-    Returns ``(tile_ids, tiles_per_side)``.  The coordinator of a
-    parallel fan-out uses this to group queries by home tile *without*
-    building an index — the same bbox, clamp, and truncation as
-    ``ShardedGridIndex._build``, so the groups line up with the tiles
-    workers will actually touch.
-    """
-    data_xy = np.asarray(data_xy, dtype=np.float64)
-    query_xy = np.asarray(query_xy, dtype=np.float64)
-    t = (auto_tiles_per_side(len(data_xy))
-         if tiles_per_side is None else int(tiles_per_side))
-    if t < 1:
-        raise ValueError("tiles_per_side must be >= 1")
-    if len(data_xy) == 0 or t == 1:
-        return np.zeros(len(query_xy), dtype=np.intp), t
-    x0 = float(data_xy[:, 0].min())
-    y0 = float(data_xy[:, 1].min())
-    tw = (float(data_xy[:, 0].max()) - x0) / t
-    th = (float(data_xy[:, 1].max()) - y0) / t
-    tw = tw if tw > 1e-100 else 1.0
-    th = th if th > 1e-100 else 1.0
-    qx = np.clip((query_xy[:, 0] - x0) / tw, 0.0, t - 1.0).astype(np.intp)
-    qy = np.clip((query_xy[:, 1] - y0) / th, 0.0, t - 1.0).astype(np.intp)
-    return qy * t + qx, t
-
-
 def _group_kth(d: np.ndarray, qid: np.ndarray, m: int, kk: int) -> np.ndarray:
     """Per-group ``kk``-th smallest of ``d`` (groups = values of ``qid``,
     each holding at least ``kk`` entries) via one padded partition —
@@ -124,7 +88,6 @@ class ShardedGridIndex:
         points: Sequence[tuple[float, float, Hashable]],
         tiles_per_side: int | None = None,
         target_per_cell: float = 0.5,
-        prefer_delegate: bool = False,
     ):
         pts = [(float(x), float(y), item) for x, y, item in points]
         try:
@@ -137,7 +100,6 @@ class ShardedGridIndex:
             [item for _x, _y, item in pts],
             tiles_per_side,
             target_per_cell,
-            prefer_delegate,
         )
 
     @classmethod
@@ -147,7 +109,6 @@ class ShardedGridIndex:
         items: Sequence[Hashable],
         tiles_per_side: int | None = None,
         target_per_cell: float = 0.5,
-        prefer_delegate: bool = False,
     ) -> "ShardedGridIndex":
         """Array-native construction over the columnar store's rows.
 
@@ -168,7 +129,6 @@ class ShardedGridIndex:
             items_arr[order].tolist(),
             tiles_per_side,
             target_per_cell,
-            prefer_delegate,
         )
         return self
 
@@ -179,14 +139,8 @@ class ShardedGridIndex:
         items: list,
         tiles_per_side: int | None,
         target_per_cell: float,
-        prefer_delegate: bool = False,
     ) -> None:
         """Tile binning over id-sorted coordinate arrays (tiles stay lazy)."""
-        # prefer_delegate keeps every batch on the per-tile delegate
-        # path (never the flat plane, which materializes *all* tiles) —
-        # the mode a fan-out worker runs in, trading some batch
-        # throughput for building only the tiles its queries touch.
-        self._prefer_delegate = bool(prefer_delegate)
         self._items = items
         n = len(items)
         self._size = n
@@ -254,9 +208,9 @@ class ShardedGridIndex:
         bounded cross-tile merge, ``batch_scalar`` those whose home tile
         was too small for ``k`` (full scalar routing).  ``tiles_built``
         over ``tiles_nonempty`` shows how much of the world this index
-        actually materialized — the laziness the parallel fan-out banks
-        on.  Inner-grid counters (see ``GridIndex.counters()``) are
-        summed over the built tiles.
+        actually materialized: tile-concentrated batches build only the
+        tiles they touch.  Inner-grid counters (see
+        ``GridIndex.counters()``) are summed over the built tiles.
 
         Lifecycle: counters accumulate for the life of the instance —
         internal rebuilds never zero them; only :meth:`reset_stats`
@@ -288,16 +242,6 @@ class ShardedGridIndex:
         for tile in self._tiles:
             if tile is not None:
                 tile.reset_stats()
-
-    def stats(self) -> dict:
-        """Deprecated alias of :meth:`counters`; removed next release."""
-        warnings.warn(
-            "ShardedGridIndex.stats() is deprecated; use counters() "
-            "(same dict) or the repro.obs registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.counters()
 
     # ------------------------------------------------------------------
     # Tile plumbing
@@ -540,9 +484,8 @@ class ShardedGridIndex:
     #: (each group runs its tile's own batch kernel).  Below it, the
     #: per-group fixed overhead of the grid kernel dominates and the
     #: flat cross-tile kernel — one vectorized pass over all tiles at
-    #: once — takes over.  Tile-concentrated batches (the parallel
-    #: per-tile fan-out routes workers whole tiles) stay on delegation,
-    #: which builds only the touched tiles.
+    #: once — takes over.  Tile-concentrated batches stay on
+    #: delegation, which builds only the touched tiles.
     _DELEGATE_MIN_GROUP = 256
 
     def knn_batch(
@@ -589,7 +532,7 @@ class ShardedGridIndex:
         pending: list[tuple[int, float]] = []
         scalar: list[int] = []
         homes = int(np.unique(qt).size)
-        if self._prefer_delegate or m >= homes * self._DELEGATE_MIN_GROUP:
+        if m >= homes * self._DELEGATE_MIN_GROUP:
             self._knn_batch_delegate(pts, qt, kk, out, pending, scalar)
         else:
             pop = self._starts[qt + 1] - self._starts[qt]

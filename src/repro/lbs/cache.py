@@ -17,7 +17,6 @@ results (see ``tests/lbs/test_query_cache.py``).
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 
 from ..obs import registry as _obs
@@ -110,16 +109,6 @@ class QueryAnswerCache:
             "hits": self.hits,
             "misses": self.misses,
         }
-
-    def stats(self) -> dict:
-        """Deprecated alias of :meth:`counters`; removed next release."""
-        warnings.warn(
-            "QueryAnswerCache.stats() is deprecated; use counters() "
-            "(same dict) or the repro.obs registry",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.counters()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

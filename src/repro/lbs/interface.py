@@ -51,9 +51,28 @@ __all__ = [
     "KnnInterface",
     "LrLbsInterface",
     "LnrLbsInterface",
+    "realize_positions",
 ]
 
 Predicate = Callable[[LbsTuple], bool]
+
+
+def realize_positions(
+    database: SpatialDatabase, obfuscation: ObfuscationModel
+) -> np.ndarray:
+    """The ``(N, 2)`` positions an obfuscating service ranks with.
+
+    One jitter draw over the coordinate columns, clamped to the service
+    region in one vectorized pass: obfuscated positions still live in
+    the service's world.  Every interface build and the parallel
+    executor's pre-draw call this one function, so their positions are
+    bit-identical.
+    """
+    region = database.region
+    eff = obfuscation.effective_coords(database.coords, database.tids)
+    eff[:, 0] = np.minimum(np.maximum(eff[:, 0], region.x0), region.x1)
+    eff[:, 1] = np.minimum(np.maximum(eff[:, 1], region.y0), region.y1)
+    return eff
 
 
 class KnnInterface:
@@ -74,7 +93,6 @@ class KnnInterface:
         visible_attrs: Optional[Sequence[str]] = None,
         engine: Optional[QueryEngineConfig] = None,
         effective_coords: Optional[np.ndarray] = None,
-        effective_locations: Optional[dict] = None,
         index: Optional[object] = None,
     ):
         if k < 1:
@@ -102,23 +120,8 @@ class KnnInterface:
                     f"({len(database)}, 2)"
                 )
             self._eff_xy: Optional[np.ndarray] = eff
-        elif effective_locations is not None:
-            # Legacy dict form of the same passthrough.
-            eff = np.empty((len(database), 2), dtype=np.float64)
-            for i, tid in enumerate(database.tid_list()):
-                p = effective_locations[tid]
-                eff[i, 0] = p.x
-                eff[i, 1] = p.y
-            self._eff_xy = eff
         elif obfuscation is not None:
-            # One (N, 2) jitter draw over the coordinate columns,
-            # clamped to the service region in one vectorized pass:
-            # obfuscated positions still live in the service's world.
-            region = database.region
-            eff = obfuscation.effective_coords(database.coords, database.tids)
-            eff[:, 0] = np.minimum(np.maximum(eff[:, 0], region.x0), region.x1)
-            eff[:, 1] = np.minimum(np.maximum(eff[:, 1], region.y0), region.y1)
-            self._eff_xy = eff
+            self._eff_xy = realize_positions(database, obfuscation)
         else:
             # True positions: the database's own coordinate columns.
             self._eff_xy = None
@@ -145,7 +148,6 @@ class KnnInterface:
                 database.tids,
                 self.engine.index_backend,
                 auto_brute_max=self.engine.auto_brute_max,
-                auto_sharded_min=self.engine.auto_sharded_min,
             )
         self._prominence_config = dict(prominence) if prominence is not None else None
         if self._prominence_config is not None:

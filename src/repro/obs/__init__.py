@@ -25,12 +25,12 @@ on process-wide with :func:`enable`, or scoped with
         result = session.count().run(MaxQueries(2000))
     print(reg.render_prometheus())
 
-Parallel fan-outs (``run_many_parallel``, ``parallel_knn_batch``, the
-experiment harness's fork waves) propagate automatically: when the
-parent has a registry active, each worker run collects into a fresh
-registry whose snapshot rides the existing result queue and merges
-parent-side — one fan-out reads as one coherent metric stream, with a
-failed worker's partial counts labelled ``outcome="failed"``.
+Parallel fan-outs (``run_many_parallel`` and the experiment harness's
+fork waves) propagate automatically: when the parent has a registry
+active, each worker run collects into a fresh registry whose snapshot
+rides the worker's existing result pipe and merges parent-side — one
+fan-out reads as one coherent metric stream, with a failed worker's
+partial counts labelled ``outcome="failed"``.
 """
 
 from .registry import (

@@ -11,10 +11,6 @@ Three layers, each usable alone:
 * :func:`run_many_parallel` — fan independent estimation runs across a
   process pool over one shared world, bit-identical to the sequential
   :func:`repro.api.run_many` (which also fronts this via ``workers=``).
-* :func:`parallel_knn_batch` — fan one large kNN batch across workers
-  by home tile of a :class:`~repro.index.ShardedGridIndex`; each worker
-  lazily builds only the tiles its queries touch over the shared
-  columns.
 
 ::
 
@@ -25,7 +21,6 @@ Three layers, each usable alone:
 """
 
 from .executor import ParallelRunError, RunProgress, run_many_parallel
-from .shardedknn import parallel_knn_batch
 from .sharedmem import SharedWorld, cleanup_stale_segments
 from .worldcache import WorldCache, WorldCacheError
 
@@ -35,7 +30,6 @@ __all__ = [
     "SharedWorld",
     "cleanup_stale_segments",
     "run_many_parallel",
-    "parallel_knn_batch",
     "ParallelRunError",
     "RunProgress",
 ]

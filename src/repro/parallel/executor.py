@@ -15,9 +15,10 @@ What is shared, and why it is safe:
   physically cannot mutate them);
 * realized obfuscation jitters — the parent pre-draws each distinct
   :class:`~repro.lbs.ObfuscationModel`'s ``(N, 2)`` effective-coordinate
-  array with the exact interface-construction arithmetic (draw + region
-  clamp) and exports it, so workers skip the draw *and* all runs agree
-  on the service's positions exactly as rebuilt interfaces do;
+  array with :func:`~repro.lbs.interface.realize_positions`, the call an
+  interface makes at construction, and exports it, so workers skip the
+  draw *and* all runs agree on the service's positions exactly as
+  rebuilt interfaces do;
 * per-worker spatial indexes — each worker builds the index for a given
   (coordinates, backend) combination once and reuses it across the runs
   it executes; index construction is deterministic, so a shared index
@@ -52,6 +53,7 @@ Failure handling (``retries`` / ``run_deadline``):
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing as mp
@@ -69,6 +71,7 @@ from ..api.session import Session, SessionRun
 from ..api.spec import EstimationSpec
 from ..core import QueryEngineConfig, StoppingRule
 from ..index import make_index_arrays
+from ..lbs.interface import realize_positions
 from ..obs import registry as _obs
 from ..stats import EstimationResult
 from ..worlds.spec import World, WorldSpec
@@ -123,16 +126,6 @@ def _effective_coords_key(obfuscation) -> str:
     return "eff-" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _realize_effective_coords(db, obfuscation) -> np.ndarray:
-    """Exactly the draw-and-clamp an interface performs at construction
-    (see ``KnnInterface.__init__``) — bit-identity depends on it."""
-    region = db.region
-    eff = obfuscation.effective_coords(db.coords, db.tids)
-    eff[:, 0] = np.minimum(np.maximum(eff[:, 0], region.x0), region.x1)
-    eff[:, 1] = np.minimum(np.maximum(eff[:, 1], region.y0), region.y1)
-    return eff
-
-
 def _default_context() -> mp.context.BaseContext:
     # fork shares the parent's loaded modules for free; spawn is the
     # portable fallback (everything shipped to workers pickles).
@@ -172,15 +165,13 @@ def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
     spec = EstimationSpec.from_json(spec_json)
     eff = shared.extra(eff_key) if eff_key is not None else None
     engine = spec.engine if spec.engine is not None else QueryEngineConfig()
-    index_key = (eff_key, engine.index_backend, engine.auto_brute_max,
-                 engine.auto_sharded_min)
+    index_key = (eff_key, engine.index_backend, engine.auto_brute_max)
     index = indexes.get(index_key)
     if index is None:
         coords = eff if eff is not None else db.coords
         index = indexes[index_key] = make_index_arrays(
             coords, db.tids, engine.index_backend,
             auto_brute_max=engine.auto_brute_max,
-            auto_sharded_min=engine.auto_sharded_min,
         )
     state_path = None
     if checkpoint_dir is not None:
@@ -229,15 +220,10 @@ def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
             # the coordinator can merge per-run metrics exactly once —
             # including the partial counts of a run that raised.
             reg = _obs.MetricsRegistry() if collect else None
+            scope = (_obs.collecting(reg) if reg is not None
+                     else contextlib.nullcontext())
             try:
-                if reg is not None:
-                    with _obs.collecting(reg):
-                        result = _execute_run(
-                            world, db, shared, indexes, run_index, spec_json,
-                            until, eff_key, results, checkpoint_dir,
-                            state_every, attempt,
-                        )
-                else:
+                with scope:
                     result = _execute_run(
                         world, db, shared, indexes, run_index, spec_json,
                         until, eff_key, results, checkpoint_dir,
@@ -429,7 +415,7 @@ def run_many_parallel(
             continue
         key = _effective_coords_key(obf)
         if key not in eff_arrays:
-            eff_arrays[key] = _realize_effective_coords(db, obf)
+            eff_arrays[key] = realize_positions(db, obf)
         eff_keys.append(key)
 
     if checkpoint_dir is not None:

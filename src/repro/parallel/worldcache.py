@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import warnings
 from pathlib import Path
 from typing import Optional, Union
 
@@ -277,13 +276,3 @@ class WorldCache:
         entries = sum(1 for p in self.root.iterdir()
                       if p.is_dir() and not p.name.startswith("."))
         return {"hits": self.hits, "misses": self.misses, "entries": entries}
-
-    def stats(self) -> dict:
-        """Deprecated alias of :meth:`counters`."""
-        warnings.warn(
-            "WorldCache.stats() is deprecated; use counters() "
-            "(and the repro.obs registry for cross-process aggregation)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.counters()

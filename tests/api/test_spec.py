@@ -88,6 +88,17 @@ class TestEstimationSpec:
         spec = EstimationSpec()
         assert EstimationSpec.from_dict(spec.to_dict()) == spec
 
+    def test_saved_engine_with_removed_auto_sharded_min(self):
+        # Documents written before the field was removed carry it: a
+        # null loads as today's engine, a set value is refused.
+        spec = EstimationSpec(engine=QueryEngineConfig(index_backend="grid"))
+        old = spec.to_dict()
+        old["engine"]["auto_sharded_min"] = None
+        assert EstimationSpec.from_dict(old) == spec
+        old["engine"]["auto_sharded_min"] = 500_000
+        with pytest.raises(ValueError, match="auto_sharded_min.*sharded"):
+            EstimationSpec.from_dict(old)
+
     def test_interface_round_trip(self):
         spec = EstimationSpec(
             method="lnr",

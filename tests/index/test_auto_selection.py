@@ -19,6 +19,7 @@ from repro.index import (
     ShardedGridIndex,
     make_index,
 )
+from repro.index.base import _resolve_backend
 
 #: The measured scalar-path crossover (brute wins below, grid above).
 MEASURED_CROSSOVER = 96
@@ -52,27 +53,14 @@ class TestAutoSelection:
                           GridIndex)
 
     def test_auto_never_picks_sharded_by_default(self):
-        # The measured reality (see QueryEngineConfig.auto_sharded_min):
+        # The measured reality (see QueryEngineConfig.index_backend):
         # the monolithic grid wins raw batch throughput at every size
-        # measured, so sharding is an opt-in for build-dominated and
-        # multi-process workloads, never an auto default.
-        assert QueryEngineConfig().auto_sharded_min is None
+        # measured, so sharding is an explicit choice, never an auto
+        # pick — at any size.
+        for n in (4096, 10**6, 10**9):
+            assert _resolve_backend("auto", n, MEASURED_CROSSOVER) is GridIndex
         assert isinstance(make_index(_pts(4096), "auto"), GridIndex)
-
-    def test_auto_honours_sharded_threshold(self):
-        assert isinstance(
-            make_index(_pts(512), "auto", auto_sharded_min=500),
-            ShardedGridIndex,
-        )
-        assert isinstance(
-            make_index(_pts(512), "auto", auto_sharded_min=1000),
-            GridIndex,
-        )
-        # Brute still wins the bottom tier even with sharding enabled.
-        assert isinstance(
-            make_index(_pts(20), "auto", auto_sharded_min=10),
-            BruteForceIndex,
-        )
+        assert isinstance(make_index(_pts(4096), "sharded"), ShardedGridIndex)
 
     def test_interface_threads_config_threshold(self):
         # The engine config's crossover reaches make_index through the

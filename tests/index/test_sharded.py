@@ -15,7 +15,7 @@ import pytest
 from repro import worlds
 from repro.geometry import Point, Rect
 from repro.index import BruteForceIndex, QueryEngineConfig, ShardedGridIndex
-from repro.index.sharded import auto_tiles_per_side, route_home_tiles
+from repro.index.sharded import auto_tiles_per_side
 from repro.lbs import LbsTuple, LrLbsInterface, ObfuscationModel, SpatialDatabase
 
 
@@ -124,13 +124,14 @@ class TestBatchPaths:
 
     def test_delegate_path_matches_oracle_and_stays_lazy(self):
         pts = self._clustered()
-        idx = ShardedGridIndex(pts, tiles_per_side=3, prefer_delegate=True)
+        idx = ShardedGridIndex(pts, tiles_per_side=3)
         oracle = _oracle(pts)
         rng = np.random.default_rng(7)
-        # queries concentrated near one cluster: only that neighborhood
-        # of tiles gets built
+        # queries concentrated near one cluster, enough of them per home
+        # tile (m >= homes * _DELEGATE_MIN_GROUP) for the delegate path:
+        # only that neighborhood of tiles gets built
         queries = [(float(10 + dx), float(10 + dy))
-                   for dx, dy in rng.normal(0, 3.0, (200, 2))]
+                   for dx, dy in rng.normal(0, 3.0, (1200, 2))]
         assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
         stats = idx.counters()
         assert stats["tiles_built"] < stats["tiles_nonempty"]
@@ -151,17 +152,6 @@ class TestBatchPaths:
 
 
 class TestRouting:
-    def test_route_home_tiles_matches_index_geometry(self):
-        pts = _pts(200, seed=9)
-        data_xy = np.array([[x, y] for x, y, _i in pts])
-        idx = ShardedGridIndex(pts, tiles_per_side=4)
-        rng = np.random.default_rng(10)
-        q = rng.random((100, 2)) * 120 - 10
-        qt, t = route_home_tiles(data_xy, q, tiles_per_side=4)
-        assert t == 4
-        expect = [idx._tile_y(y) * 4 + idx._tile_x(x) for x, y in q]
-        assert qt.tolist() == expect
-
     def test_auto_tiles_per_side(self):
         assert auto_tiles_per_side(0) == 1
         assert auto_tiles_per_side(10_000) == 1

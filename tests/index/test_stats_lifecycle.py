@@ -1,18 +1,13 @@
-"""Index counter lifecycle: counters(), reset_stats(), deprecation shims.
+"""Index counter lifecycle: counters(), reset_stats(), registry mirrors.
 
 Counters live for the *instance*: internal rebuilds must never zero them
 (they used to, silently), and only an explicit ``reset_stats()`` does.
-The legacy ``stats()`` spelling survives as a deprecation shim on every
-carrier (grid, sharded, answer cache, world cache).
 """
 
 import numpy as np
-import pytest
 
-from repro.geometry import Point, Rect
 from repro.index.grid import GridIndex
 from repro.index.sharded import ShardedGridIndex
-from repro.lbs import LrLbsInterface
 from repro.obs import registry as obs
 from repro.parallel import WorldCache
 from repro.worlds import registry as worlds
@@ -43,13 +38,6 @@ class TestGridLifecycle:
                    list(range(len(xy))), 0.5)
         assert idx.counters()["batch_queries"] == before == 1
 
-    def test_stats_shim_warns_and_matches_counters(self):
-        idx, _xy = _grid()
-        idx.knn_batch([(10.0, 10.0)], 3)
-        with pytest.warns(DeprecationWarning, match="counters"):
-            legacy = idx.stats()
-        assert legacy == idx.counters()
-
     def test_registry_mirrors_batch_accounting(self):
         idx, _xy = _grid()
         with obs.collecting() as reg:
@@ -79,47 +67,25 @@ class TestShardedLifecycle:
         assert c["tiles_built"] > 0
         assert c["inner"]["batch_queries"] == 0
 
-    def test_stats_shim_warns(self):
-        idx = self._sharded()
-        with pytest.warns(DeprecationWarning, match="counters"):
-            idx.stats()
-
     def test_inner_tiles_report_under_grid_backend(self):
-        # prefer_delegate routes settled batches through the per-tile
-        # GridIndex kernels, which count as grid — kernel-level
-        # accounting, documented in counters().
+        # A batch with _DELEGATE_MIN_GROUP queries per home tile takes
+        # the per-tile GridIndex kernels, which count as grid —
+        # kernel-level accounting, documented in counters().
         rng = np.random.default_rng(1)
         xy = rng.random((400, 2)) * 100.0
         idx = ShardedGridIndex.from_arrays(xy, np.arange(400),
-                                           tiles_per_side=4,
-                                           prefer_delegate=True)
+                                           tiles_per_side=4)
+        queries = [(10.0, 10.0)] * 256 + [(90.0, 90.0)] * 256
         with obs.collecting() as reg:
-            idx.knn_batch([(10.0, 10.0), (90.0, 90.0)], 3)
+            idx.knn_batch(queries, 3)
         assert reg.get("index_queries_total",
-                       {"backend": "sharded", "mode": "batch"}) == 2.0
+                       {"backend": "sharded", "mode": "batch"}) == 512.0
         assert reg.get("index_queries_total",
                        {"backend": "grid", "mode": "batch"}) is not None
         assert reg.total("index_tiles_built_total") > 0
 
 
 class TestCacheShims:
-    def test_answer_cache_stats_shim_warns(self, small_db):
-        api = LrLbsInterface(small_db, k=3)
-        api.query(Point(20, 30))
-        with pytest.warns(DeprecationWarning, match="counters"):
-            legacy = api._cache.stats()
-        assert legacy == api._cache.counters()
-        assert legacy["misses"] == 1
-
-    def test_world_cache_stats_shim_warns(self, tmp_path):
-        cache = WorldCache(tmp_path)
-        spec = worlds.get("paper/uniform-10k").with_size(50)
-        cache.load_or_build(spec)
-        with pytest.warns(DeprecationWarning, match="counters"):
-            legacy = cache.stats()
-        assert legacy == cache.counters()
-        assert legacy == {"hits": 0, "misses": 1, "entries": 1}
-
     def test_world_cache_registry_counters(self, tmp_path):
         cache = WorldCache(tmp_path)
         spec = worlds.get("paper/uniform-10k").with_size(50)

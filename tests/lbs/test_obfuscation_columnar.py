@@ -61,6 +61,15 @@ def dict_path_locations(db, model):
     }
 
 
+def dict_path_coords(db, ref):
+    """The ``{tid: Point}`` reference as the row-aligned ``(N, 2)``
+    array that ``effective_coords=`` takes."""
+    eff = np.empty((len(db), 2), dtype=np.float64)
+    for i, tid in enumerate(db.tid_list()):
+        eff[i] = ref[tid].x, ref[tid].y
+    return eff
+
+
 def probe_points(region, n=10, seed=3):
     rng = np.random.default_rng(seed)
     return [
@@ -103,10 +112,11 @@ def test_registry_obfuscated_answers_match_dict_path(name):
     sigma = 0.01 * max(region.width, region.height)
     model = ObfuscationModel(sigma=sigma, seed=9, clip=2.5 * sigma)
     ref = dict_path_locations(db, model)
+    ref_xy = dict_path_coords(db, ref)
     pts = probe_points(region)
     for cls in (LrLbsInterface, LnrLbsInterface):
         api = cls(db, k=5, obfuscation=model)
-        ref_api = cls(db, k=5, obfuscation=model, effective_locations=ref)
+        ref_api = cls(db, k=5, obfuscation=model, effective_coords=ref_xy)
         for tid in db.tid_list()[:40]:
             assert api.effective_location(tid) == ref[tid]
         assert_same_answers(api, ref_api, pts)
@@ -119,7 +129,7 @@ def test_registry_obfuscated_answers_match_dict_path(name):
                       "weight_static": 0.4, "distance_cap": 0.1 * region.width}
         api = LrLbsInterface(db, k=5, obfuscation=model, prominence=prominence)
         ref_api = LrLbsInterface(db, k=5, obfuscation=model,
-                                 prominence=prominence, effective_locations=ref)
+                                 prominence=prominence, effective_coords=ref_xy)
         assert_same_answers(api, ref_api, pts)
 
 
@@ -136,7 +146,8 @@ def test_wechat_subsample_filtered_chain_two_deep():
     ref = dict_path_locations(sub, model)
     pts = probe_points(region)
     api = LnrLbsInterface(sub, k=5, obfuscation=model)
-    ref_api = LnrLbsInterface(sub, k=5, obfuscation=model, effective_locations=ref)
+    ref_api = LnrLbsInterface(sub, k=5, obfuscation=model,
+                              effective_coords=dict_path_coords(sub, ref))
     assert_same_answers(api, ref_api, pts)
     gender = AttrEquals("gender", sub.tuples()[0].get("gender"))
     view, ref_view = api.filtered(gender), ref_api.filtered(gender)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.api import MaxSamples, Session
 from repro.obs import registry as obs
-from repro.parallel import ParallelRunError, parallel_knn_batch, run_many_parallel
+from repro.parallel import ParallelRunError, run_many_parallel
 from repro.worlds import registry
 
 
@@ -81,40 +81,3 @@ class TestFailedRunLabelling:
         assert failed >= 0.0
         assert reg.total("interface_queries_total") == clean + failed
 
-
-class TestShardedKnnMerge:
-    def test_worker_slices_merge_into_coordinator(self):
-        world = registry.get("paper/clustered").with_size(2000).build()
-        region = world.db.region
-        import numpy as np
-
-        rng = np.random.default_rng(5)
-        u = rng.random((64, 2))
-        queries = [
-            (float(region.x0 + ux * region.width),
-             float(region.y0 + uy * region.height))
-            for ux, uy in u
-        ]
-        with obs.collecting() as reg:
-            answers = parallel_knn_batch(world, queries, 3, workers=2,
-                                         tiles_per_side=4)
-        assert len(answers) == 64
-        assert reg.get("index_queries_total",
-                       {"backend": "sharded", "mode": "batch"}) == 64.0
-
-    def test_stats_list_still_returned(self):
-        world = registry.get("paper/clustered").with_size(1000).build()
-        region = world.db.region
-        import numpy as np
-
-        rng = np.random.default_rng(6)
-        u = rng.random((32, 2))
-        queries = [
-            (float(region.x0 + ux * region.width),
-             float(region.y0 + uy * region.height))
-            for ux, uy in u
-        ]
-        _answers, stats = parallel_knn_batch(world, queries, 3, workers=2,
-                                             tiles_per_side=4,
-                                             return_stats=True)
-        assert stats and all("tiles_built" in s for s in stats)

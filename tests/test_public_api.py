@@ -70,7 +70,8 @@ class TestReadmeQuickstart:
 
 
 class TestDeprecationShims:
-    """The pre-session entrypoints still work, with warnings."""
+    """The low-level driver entrypoint without a stopping rule (its
+    legacy ``max_queries``/``n_samples`` shims are gone)."""
 
     def _agg(self, db, seed=0):
         from repro import AggregateQuery, LrLbsAgg, LrLbsInterface, UniformSampler
@@ -78,37 +79,7 @@ class TestDeprecationShims:
         return LrLbsAgg(LrLbsInterface(db, k=5), UniformSampler(db.region),
                         AggregateQuery.count(), seed=seed)
 
-    def test_legacy_kwargs_warn_but_match_new_style(self):
-        from repro import MaxQueries
-
-        db = _tiny_poi_db()
-        with pytest.warns(DeprecationWarning):
-            legacy = self._agg(db).run(max_queries=300)
-        new = self._agg(db).run(MaxQueries(300))
-        assert legacy.estimate == new.estimate
-        assert legacy.queries == new.queries
-        assert legacy.trace == new.trace
-
-    def test_legacy_n_samples_and_batch(self):
-        db = _tiny_poi_db()
-        with pytest.warns(DeprecationWarning):
-            res = self._agg(db).run(n_samples=10, batch_size=4)
-        assert res.samples == 10
-
-    def test_positional_int_warns(self):
-        db = _tiny_poi_db()
-        with pytest.warns(DeprecationWarning):
-            res = self._agg(db).run(200)
-        assert res.queries >= 200
-
     def test_no_rule_at_all_raises(self):
         db = _tiny_poi_db()
         with pytest.raises(ValueError):
             self._agg(db).run()
-
-    def test_rule_plus_legacy_kwargs_rejected(self):
-        from repro import MaxQueries
-
-        db = _tiny_poi_db()
-        with pytest.raises(ValueError):
-            self._agg(db).run(MaxQueries(10), n_samples=5)
