@@ -62,6 +62,20 @@ class TestAutoSelection:
         assert isinstance(make_index(_pts(4096), "auto"), GridIndex)
         assert isinstance(make_index(_pts(4096), "sharded"), ShardedGridIndex)
 
+    def test_interface_builds_sharded_only_when_asked(self):
+        from repro.geometry import Point, Rect
+        from repro.lbs import LbsTuple, LrLbsInterface, SpatialDatabase
+
+        db = SpatialDatabase(
+            [LbsTuple(i, Point(float(x), float(y)), {})
+             for x, y, i in _pts(4096)],
+            Rect(0, 0, 100, 100),
+        )
+        assert isinstance(LrLbsInterface(db, k=3)._index, GridIndex)
+        api = LrLbsInterface(
+            db, k=3, engine=QueryEngineConfig(index_backend="sharded"))
+        assert isinstance(api._index, ShardedGridIndex)
+
     def test_interface_threads_config_threshold(self):
         # The engine config's crossover reaches make_index through the
         # interface, so re-tuning the default re-tunes every service.

@@ -150,8 +150,106 @@ class TestBatchPaths:
         assert inner["batch_chunked"] + inner["batch_fallback"] \
             == inner["batch_queries"]
 
+    @staticmethod
+    def _near(cx, cy, m, seed, spread=2.0):
+        rng = np.random.default_rng(seed)
+        return [(float(cx + dx), float(cy + dy))
+                for dx, dy in rng.uniform(-spread, spread, (m, 2))]
+
+    def test_path_switches_at_delegate_min_group(self):
+        # Two home tiles: one query short of 2 * _DELEGATE_MIN_GROUP runs
+        # the flat plane (no inner grid kernel runs), the full quota
+        # delegates every query to its home tile's own batch kernel.
+        pts = _pts(400, seed=1)
+        oracle = _oracle(pts)
+        group = ShardedGridIndex._DELEGATE_MIN_GROUP
+        below = self._near(10, 10, group - 1, 2) + self._near(90, 90, group, 3)
+        at = below + self._near(10, 10, 1, 4)
+        for queries, inner in ((below, 0), (at, 2 * group)):
+            idx = ShardedGridIndex(pts, tiles_per_side=4)
+            assert idx.knn_batch(queries, 3) == oracle.knn_batch(queries, 3)
+            assert idx.counters()["inner"]["batch_queries"] == inner
+
+    def test_both_paths_agree_bit_for_bit(self):
+        # The same scattered queries, once on their own (plane) and
+        # repeated past the delegate quota: identical answers.
+        pts = self._clustered()
+        rng = np.random.default_rng(9)
+        queries = [(float(x), float(y)) for x, y in rng.random((300, 2)) * 110 - 5]
+        plane_idx = ShardedGridIndex(pts, tiles_per_side=3)
+        plane = plane_idx.knn_batch(queries, 5)
+        assert plane_idx.counters()["inner"]["batch_queries"] == 0
+        delegate_idx = ShardedGridIndex(pts, tiles_per_side=3)
+        reps = 9 * ShardedGridIndex._DELEGATE_MIN_GROUP // len(queries) + 1
+        delegated = delegate_idx.knn_batch(queries * reps, 5)
+        assert delegate_idx.counters()["inner"]["batch_queries"] > 0
+        for r in range(reps):
+            assert delegated[r * 300 : (r + 1) * 300] == plane
+
+    def test_delegate_path_routes_small_tiles_to_scalar(self):
+        # The centre tile of the three-cluster layout is empty: a
+        # delegated group there falls back to full scalar routing.
+        pts = self._clustered()
+        idx = ShardedGridIndex(pts, tiles_per_side=3)
+        queries = self._near(50, 48, ShardedGridIndex._DELEGATE_MIN_GROUP, 10)
+        assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
+        s = idx.counters()
+        assert s["batch_scalar"] == len(queries)
+        assert s["inner"]["batch_queries"] == 0
+
+    def test_delegate_path_escalates_across_walls(self):
+        # A delegated group hugging its home tile's right wall: the home
+        # tile's k-th distance crosses it, so queries escalate to the
+        # cross-tile merge and still match the oracle.
+        pts = _pts(400, seed=1)
+        idx = ShardedGridIndex(pts, tiles_per_side=4)
+        wall = idx._x0 + idx._tw
+        rng = np.random.default_rng(11)
+        queries = [(float(wall - 0.5 * u), float(idx._y0 + (0.2 + 0.6 * v) * idx._th))
+                   for u, v in rng.random((ShardedGridIndex._DELEGATE_MIN_GROUP, 2))]
+        assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
+        s = idx.counters()
+        assert s["batch_escalated"] > 0
+        assert s["inner"]["batch_queries"] == len(queries)
+
+    def test_single_tile_batch(self):
+        pts = _pts(300, seed=12)
+        idx = ShardedGridIndex(pts, tiles_per_side=1)
+        rng = np.random.default_rng(13)
+        queries = [(float(x), float(y)) for x, y in rng.random((120, 2)) * 100]
+        assert idx.knn_batch(queries, 4) == _oracle(pts).knn_batch(queries, 4)
+        s = idx.counters()
+        assert s["batch_settled"] == s["batch_queries"] == 120
+        assert s["tiles_built"] == 1
+
+    def test_empty_batch_and_nonpositive_k(self):
+        pts = _pts(100, seed=14)
+        idx = ShardedGridIndex(pts, tiles_per_side=3)
+        assert idx.knn_batch([], 3) == []
+        queries = [(10.0, 10.0), (60.0, 70.0)]
+        assert idx.knn_batch(queries, 0) == _oracle(pts).knn_batch(queries, 0)
+        assert idx.counters()["batch_queries"] == 0
+
 
 class TestRouting:
+    def test_home_tile_walls_contain_points_and_queries(self):
+        # The settled test trusts a home answer whose reach clears the
+        # home tile's walls: every indexed point must sit inside its
+        # tile's walls, and so must every query (outer walls are
+        # infinite, so queries beyond the bbox land in border tiles).
+        pts = _pts(200, seed=9)
+        idx = ShardedGridIndex(pts, tiles_per_side=4)
+        for tile in range(16):
+            left, right, bottom, top = idx._tile_walls(tile % 4, tile // 4)
+            rows = idx._order[idx._starts[tile]:idx._starts[tile + 1]]
+            assert np.all((left <= idx._xs[rows]) & (idx._xs[rows] <= right))
+            assert np.all((bottom <= idx._ys[rows]) & (idx._ys[rows] <= top))
+        rng = np.random.default_rng(10)
+        for x, y in rng.random((100, 2)) * 120 - 10:
+            left, right, bottom, top = idx._tile_walls(idx._tile_x(x),
+                                                       idx._tile_y(y))
+            assert left <= x <= right and bottom <= y <= top
+
     def test_auto_tiles_per_side(self):
         assert auto_tiles_per_side(0) == 1
         assert auto_tiles_per_side(10_000) == 1
@@ -160,6 +258,58 @@ class TestRouting:
         sides = [auto_tiles_per_side(n) for n in (10**3, 10**5, 10**6, 10**8, 10**12)]
         assert sides == sorted(sides)
         assert sides[-1] <= 32
+
+
+class TestWorldBatch:
+    """A clustered registry world, single process: both batch paths at
+    several tilings, and ``k`` past every tile's population, answer
+    exactly like the oracle."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return worlds.get("paper/clustered").with_size(3000).build()
+
+    @pytest.fixture(scope="class")
+    def oracle(self, world):
+        return BruteForceIndex.from_arrays(world.db.coords, world.db.tids)
+
+    @staticmethod
+    def _queries(world, m, seed=21):
+        region = world.db.region
+        u = np.random.default_rng(seed).random((m, 2))
+        return [(float(region.x0 + a * region.width),
+                 float(region.y0 + b * region.height)) for a, b in u]
+
+    def _index(self, world, tiles):
+        return ShardedGridIndex.from_arrays(world.db.coords, world.db.tids,
+                                            tiles_per_side=tiles)
+
+    @pytest.mark.parametrize("tiles", [2, 3, 4])
+    def test_scattered_batch_matches_oracle(self, world, oracle, tiles):
+        queries = self._queries(world, 400)
+        idx = self._index(world, tiles)
+        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert idx.counters()["inner"]["batch_queries"] == 0  # flat plane
+
+    @pytest.mark.parametrize("tiles", [2, 3, 4])
+    def test_dense_batch_matches_oracle(self, world, oracle, tiles):
+        # tiles^2 * _DELEGATE_MIN_GROUP queries clear the delegate quota
+        # however many home tiles they touch.
+        m = tiles * tiles * ShardedGridIndex._DELEGATE_MIN_GROUP
+        queries = self._queries(world, m)
+        idx = self._index(world, tiles)
+        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert idx.counters()["inner"]["batch_queries"] > 0  # delegated
+
+    def test_k_exceeding_tile_population(self, world, oracle):
+        # ~333 points per tile at T=3: k=500 forces cross-tile answers
+        # for every query.
+        queries = self._queries(world, 30)
+        idx = self._index(world, 3)
+        assert idx.knn_batch(queries, 500) == oracle.knn_batch(queries, 500)
+        s = idx.counters()
+        assert s["batch_settled"] == 0
+        assert s["batch_escalated"] + s["batch_scalar"] == 30
 
 
 class TestRegistryScenarios:

@@ -6,8 +6,10 @@ Counters live for the *instance*: internal rebuilds must never zero them
 
 import numpy as np
 
+from repro.geometry import Point
 from repro.index.grid import GridIndex
 from repro.index.sharded import ShardedGridIndex
+from repro.lbs import LrLbsInterface
 from repro.obs import registry as obs
 from repro.parallel import WorldCache
 from repro.worlds import registry as worlds
@@ -84,6 +86,19 @@ class TestShardedLifecycle:
                        {"backend": "grid", "mode": "batch"}) is not None
         assert reg.total("index_tiles_built_total") > 0
 
+    def test_registry_mirrors_routing_counters(self):
+        idx = self._sharded()
+        rng = np.random.default_rng(2)
+        queries = [(float(x), float(y)) for x, y in rng.random((150, 2)) * 100]
+        with obs.collecting() as reg:
+            idx.knn_batch(queries, 30)  # k past some tiles' population
+        c = idx.counters()
+        assert c["batch_scalar"] > 0
+        for key in ("batch_queries", "batch_settled", "batch_escalated",
+                    "batch_scalar"):
+            assert reg.get(f"index_{key}_total", {"backend": "sharded"}) \
+                == float(c[key])
+
 
 class TestCacheShims:
     def test_world_cache_registry_counters(self, tmp_path):
@@ -97,3 +112,17 @@ class TestCacheShims:
         # The build and the cache load each left a span behind.
         names = {r["name"] for r in reg.spans}
         assert "world_build" in names and "world_cache_load" in names
+
+
+class TestCacheCounters:
+    def test_answer_cache_counters_track_hits_and_misses(self, small_db):
+        api = LrLbsInterface(small_db, k=3)
+        api.query(Point(20, 30))
+        assert api._cache.counters() == {
+            "size": 1, "capacity": api._cache.capacity, "hits": 0, "misses": 1,
+        }
+        api.query(Point(20, 30))
+        api.query(Point(70, 10))
+        assert api._cache.counters() == {
+            "size": 2, "capacity": api._cache.capacity, "hits": 1, "misses": 2,
+        }
