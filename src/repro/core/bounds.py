@@ -58,14 +58,8 @@ class LowerBoundTester:
         max_radius = self.history.interface.max_radius
         if max_radius is not None and d_t > max_radius:
             return False  # t would not be returned at x at all
-        closer = 0
-        for tid, loc in self.history.locations.items():
-            if tid == self.t_id:
-                continue
-            if distance(x, loc) < d_t:
-                closer += 1
-                if closer >= self.h:
-                    return False
+        if self.history.locations.count_closer(x, d_t, skip=self.t_id) >= self.h:
+            return False
         candidates = self.history.disks.near(x, d_t)
         if not candidates:
             return False

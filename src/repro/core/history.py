@@ -34,12 +34,155 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Optional
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 from ..geometry import Disk, Point, distance
 from ..lbs import BudgetExhausted, KnnInterface, QueryAnswer
 
-__all__ = ["DiskLedger", "ObservationHistory"]
+__all__ = ["DiskLedger", "ObservationHistory", "SiteRanking", "SiteSet"]
+
+#: Relative slack of the NumPy distance prefilter.  ``np.hypot`` and
+#: :func:`~repro.geometry.distance` (``math.hypot``) see the same
+#: coordinate differences and agree to a few ulps; a site whose NumPy
+#: distance lies within this slack of a threshold is decided by
+#: ``distance()`` itself.
+_SLACK = 1e-12
+
+
+class SiteSet(Mapping):
+    """Located tuples in first-seen order: a read-only ``tid → Point``
+    mapping (paper §3.2.2, "leverage history").
+
+    The same coordinates sit row by row in one growing ``(n, 2)``
+    float64 array; a tid keeps the row it was first seen at.  Selection
+    (:meth:`ranked`, :meth:`count_closer`) makes one NumPy pass over the
+    array, or over a row prefix of it, but only as a prefilter: every
+    order and count it returns is what a scan calling
+    :func:`~repro.geometry.distance` on each site returns, with ties
+    broken by row.  A row prefix ``upto`` is the site set as it stood
+    when it held ``upto`` sites.
+    """
+
+    def __init__(self):
+        self._row: dict[int, int] = {}
+        self._tids: list[int] = []
+        self._points: list[Point] = []
+        self._xy = np.empty((64, 2))
+
+    def __getitem__(self, tid: int) -> Point:
+        return self._points[self._row[tid]]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._tids)
+
+    def __len__(self) -> int:
+        return len(self._tids)
+
+    def __contains__(self, tid) -> bool:
+        return tid in self._row
+
+    def row(self, tid, default: Optional[int] = None) -> Optional[int]:
+        """The row ``tid`` was first seen at (``default`` if never)."""
+        return self._row.get(tid, default)
+
+    def add(self, tid: int, loc: Point) -> None:
+        """Append ``tid`` at ``loc``; a tid already present keeps its row."""
+        if tid in self._row:
+            return
+        n = len(self._tids)
+        if n == len(self._xy):
+            grown = np.empty((2 * n, 2))
+            grown[:n] = self._xy
+            self._xy = grown
+        self._xy[n] = loc
+        self._row[tid] = n
+        self._tids.append(tid)
+        self._points.append(loc)
+
+    def clear(self) -> None:
+        self._row.clear()
+        self._tids.clear()
+        self._points.clear()
+
+    # ------------------------------------------------------------------
+    def _approx(self, center: Point, upto: Optional[int]) -> np.ndarray:
+        """NumPy distances from ``center`` to rows ``[0, upto)``."""
+        xy = self._xy[: len(self) if upto is None else upto]
+        return np.hypot(xy[:, 0] - center.x, xy[:, 1] - center.y)
+
+    def ranked(self, center: Point, upto: Optional[int] = None, skip=None) -> "SiteRanking":
+        """The sites of rows ``[0, upto)`` at a positive distance from
+        ``center``, tid ``skip`` left out, ranked by ``(distance(), row)``."""
+        approx = self._approx(center, upto)
+        row = self._row.get(skip, len(approx))
+        if row < len(approx):
+            approx[row] = 0.0  # left out like a site at the centre
+        return SiteRanking(self, center, approx)
+
+    def count_closer(self, center: Point, radius: float, skip=None) -> int:
+        """Number of sites other than tid ``skip`` with
+        ``distance() < radius`` from ``center`` (zero distances count)."""
+        approx = self._approx(center, None)
+        row = self._row.get(skip)
+        if row is not None:
+            approx[row] = np.inf
+        lo, hi = radius * (1.0 - _SLACK), radius * (1.0 + _SLACK)
+        closer = int(np.count_nonzero(approx < lo))
+        if np.count_nonzero(approx < hi) == closer:
+            return closer
+        points = self._points
+        band = np.flatnonzero((approx >= lo) & (approx < hi))
+        return closer + sum(distance(points[i], center) < radius for i in band.tolist())
+
+
+class SiteRanking:
+    """One centre's ranking of a :class:`SiteSet` row prefix (built by
+    :meth:`SiteSet.ranked`): exact answers behind one NumPy pass."""
+
+    def __init__(self, sites: SiteSet, center: Point, approx: np.ndarray):
+        self._sites = sites
+        self._center = center
+        # NumPy distance 0 is exactly distance() 0: those rows, and the
+        # left-out one, read inf from here on.
+        out = approx == 0.0
+        self._len = len(approx) - int(np.count_nonzero(out))
+        approx[out] = np.inf
+        self._approx = approx
+
+    def __len__(self) -> int:
+        return self._len
+
+    def nearest(self, k: int) -> list[tuple[int, Point]]:
+        """The first ``k`` ranked sites as ``(tid, Point)`` pairs."""
+        k = min(k, self._len)
+        if k <= 0:
+            return []
+        approx = self._approx
+        if k < self._len:
+            # Every site among the exact first k has a NumPy distance
+            # within the slack of the k-th smallest one.
+            cut = np.partition(approx, k - 1)[k - 1] * (1.0 + _SLACK)
+            rows = np.flatnonzero(approx <= cut)
+        else:
+            rows = np.flatnonzero(approx < np.inf)
+        points, center = self._sites._points, self._center
+        ranked = sorted([(distance(points[i], center), i) for i in rows.tolist()])
+        tids = self._sites._tids
+        return [(tids[i], points[i]) for _d, i in ranked[:k]]
+
+    def count_within(self, radius: float) -> int:
+        """Number of ranked sites with ``distance() <= radius``."""
+        approx = self._approx
+        lo, hi = radius * (1.0 - _SLACK), radius * (1.0 + _SLACK)
+        within = int(np.count_nonzero(approx <= lo))
+        if np.count_nonzero(approx <= hi) == within:
+            return within
+        points, center = self._sites._points, self._center
+        band = np.flatnonzero((approx > lo) & (approx <= hi))
+        return within + sum(distance(points[i], center) <= radius for i in band.tolist())
 
 
 class DiskLedger:
@@ -87,7 +230,8 @@ class ObservationHistory:
         #: When False the history is wiped after every sample (the
         #: LR-LBS-AGG-0/1 ablation variants).
         self.enabled = enabled
-        self.locations: dict[int, Point] = {}
+        #: Every located tuple observed, in first-seen order.
+        self.locations = SiteSet()
         self.attrs: dict[int, dict] = {}
         region = interface.region
         self.disks = DiskLedger(cell_size=max(region.width, region.height) / 64.0)
@@ -99,12 +243,6 @@ class ObservationHistory:
     @property
     def queries_used(self) -> int:
         return self.interface.queries_used
-
-    def known_ids(self) -> set[int]:
-        return set(self.attrs)
-
-    def known_locations(self) -> dict[int, Point]:
-        return dict(self.locations)
 
     # ------------------------------------------------------------------
     def query(self, point: Point) -> QueryAnswer:
@@ -199,7 +337,7 @@ class ObservationHistory:
         for r in answer.results:
             self.attrs.setdefault(r.tid, dict(r.attrs))
             if r.location is not None:
-                self.locations[r.tid] = r.location
+                self.locations.add(r.tid, r.location)
         radius = self._certified_radius(answer)
         if radius is not None and radius > 0.0:
             self.disks.add(Disk(answer.query, radius))

@@ -85,9 +85,10 @@ class LrLbsAgg(EstimationDriver):
     def _sample_at(self, q: Point) -> tuple[float, float]:
         """Evaluate the sample at a pre-drawn query point."""
         self.history.reset_sample()
-        # Snapshot past-only observations: the adaptive-h rule may not see
-        # the current answer (see the unbiasedness note in variance.py).
-        past_locations = dict(self.history.locations) if self.config.adaptive_h else None
+        # Past-only snapshot, as a row count of the append-only site set:
+        # the adaptive-h rule may not see the current answer (see the
+        # unbiasedness note in variance.py).
+        past = len(self.history.locations)
         answer = self.history.query(q)
         num = 0.0
         den = 0.0
@@ -99,7 +100,7 @@ class LrLbsAgg(EstimationDriver):
             # argument only needs h to be independent of future samples).
             h = self._h_cache.get(res.tid)
             if h is None:
-                h = self.selector.choose(res.location, past_locations)
+                h = self.selector.choose(res.location, past)
                 self._h_cache[res.tid] = h
             if res.rank > h:
                 continue

@@ -53,34 +53,36 @@ class AdaptiveHSelector:
         return 2.0 * self._observed.mean
 
     # ------------------------------------------------------------------
-    def choose(self, t_loc: Point, locations: Optional[dict] = None) -> int:
+    def choose(self, t_loc: Point, upto: Optional[int] = None) -> int:
         """h(ti) per Algorithm 4 (1 when adaptivity is off or starved).
 
-        ``locations`` must be a snapshot of *pre-sample* history: h may
-        depend on the past but not on the current sample's answer,
-        otherwise the Eq. 2 unbiasedness argument breaks.
+        ``upto`` must be the history's size *before the sample* (its
+        past-only row prefix): h may depend on the past but not on the
+        current sample's answer, otherwise the Eq. 2 unbiasedness
+        argument breaks.
         """
         if not self.config.adaptive_h or self.k < 2:
             return min(self.config.h, self.k)
         lambda0 = self._lambda0()
         if lambda0 is None:
             return 1
-        lambdas = self.history_lambdas(t_loc, locations)
+        lambdas = self.history_lambdas(t_loc, upto)
         best = 1
         for h in range(2, self.k + 1):
             if lambdas[h] <= lambda0:
                 best = h
         return best
 
-    def history_lambdas(self, t_loc: Point, locations: Optional[dict] = None) -> dict[int, float]:
-        """``λ_h`` for every h in [1, k] from one history-only region.
+    def history_lambdas(self, t_loc: Point, upto: Optional[int] = None) -> dict[int, float]:
+        """``λ_h`` for every h in [1, k] from one history-only region
+        (over the history's first ``upto`` rows, all when None).
 
         One level-(k-1) construction yields all of them: the pieces are
         stratified by how many known sites are closer than ``t``, so
         ``λ_h`` is the measure of pieces with at most ``h - 1`` closer
         sites.
         """
-        region = self.oracle.history_region(t_loc, self.k, locations)
+        region = self.oracle.history_region(t_loc, self.k, upto)
         by_level: dict[int, float] = {lvl: 0.0 for lvl in range(self.k)}
         for subset, poly in region.pieces.items():
             by_level[len(subset)] += self.oracle.sampler.measure_polygon(poly)

@@ -37,10 +37,7 @@ noise; all vertex tests then stay within service coverage.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections.abc import Container
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -58,7 +55,7 @@ from ..geometry import (
 from ..sampling import PointSampler
 from .bounds import MonteCarloFinish
 from .config import LrAggConfig
-from .history import ObservationHistory
+from .history import ObservationHistory, SiteSet
 
 __all__ = ["CellOutcome", "TopHCellOracle"]
 
@@ -113,13 +110,15 @@ class TopHCellOracle:
             raise ValueError("h cannot exceed the interface k")
 
         base = self._base_polygon(t_loc)
-        known = dict(history.locations) if cfg.use_history else {}
-        known[t_id] = t_loc
+        # With history on, the cell works on the history's own site set,
+        # which its vertex queries grow in place; with it off, on the
+        # sites its own queries reveal, in reveal order.
+        sites = history.locations if cfg.use_history else SiteSet()
         fakes = self._fake_sites(t_loc, init_radius) if cfg.use_fast_init else {}
 
         tested_pass: set[tuple[int, int]] = set()
         prev_measure: Optional[float] = None
-        region = self._build_region(t_id, t_loc, h, known, fakes, base)
+        region = self._build_region(t_id, t_loc, h, sites, fakes, base)
 
         for _round in range(cfg.max_refine_rounds):
             new_info = False
@@ -128,12 +127,19 @@ class TopHCellOracle:
                 key = self._key(v)
                 if key in tested_pass:
                     continue
+                before = len(sites)
                 answer = history.query(v)
-                passed = _vertex_passes(answer, h, known)
-                for res in answer.results:
-                    if res.location is not None and res.tid not in known:
-                        known[res.tid] = res.location
-                        new_info = True
+                if not cfg.use_history:
+                    for res in answer.results:
+                        if res.location is not None:
+                            sites.add(res.tid, res.location)
+                passed = _vertex_passes(answer, h, t_id, sites, before)
+                # Recording t itself is no new information.
+                if not new_info:
+                    new_info = any(
+                        res.tid != t_id and sites.row(res.tid, -1) >= before
+                        for res in answer.results
+                    )
                 if passed:
                     tested_pass.add(key)
                 else:
@@ -144,12 +150,12 @@ class TopHCellOracle:
                 # base region entirely (tuple outside a sub-region base).
                 if fakes and (region.is_empty() or self._has_fake_edge(region)):
                     fakes = {}
-                    region = self._build_region(t_id, t_loc, h, known, fakes, base)
+                    region = self._build_region(t_id, t_loc, h, sites, fakes, base)
                     continue
                 measure = self.sampler.measure_region(region.polygons())
                 return CellOutcome(t_id, h, region, measure, _safe_inv(measure), exact=True)
 
-            region = self._build_region(t_id, t_loc, h, known, fakes, base)
+            region = self._build_region(t_id, t_loc, h, sites, fakes, base)
 
             if cfg.use_mc_bounds and not fakes:
                 measure = self.sampler.measure_region(region.polygons())
@@ -181,18 +187,17 @@ class TopHCellOracle:
         )
 
     # ------------------------------------------------------------------
-    def history_region(self, t_loc: Point, h: int, locations: Optional[dict] = None) -> LevelRegion:
+    def history_region(self, t_loc: Point, h: int, upto: Optional[int] = None) -> LevelRegion:
         """Upper-bound top-h region from history alone (no queries) —
         the §3.2.3 adaptive-h signal λ_h comes from its piece measures.
 
-        ``locations`` may be a snapshot of past-only observations: the
-        adaptive-h rule must not peek at the current sample's answer or
-        Eq. 2 loses its unbiasedness (see lr_agg.py).
+        ``upto`` may limit the sites to the history's first ``upto``
+        rows, a snapshot of past-only observations: the adaptive-h rule
+        must not peek at the current sample's answer or Eq. 2 loses its
+        unbiasedness (see lr_agg.py).
         """
         base = self._base_polygon(t_loc)
-        known = dict(self.history.locations if locations is None else locations)
-        known[-1] = t_loc
-        return self._build_region(None, t_loc, h, known, {}, base, t_key=-1)
+        return self._build_region(None, t_loc, h, self.history.locations, {}, base, upto)
 
     # ------------------------------------------------------------------
     # Internals
@@ -241,39 +246,33 @@ class TopHCellOracle:
         t_id,
         t_loc: Point,
         h: int,
-        known: dict,
+        sites: SiteSet,
         fakes: dict,
         base: ConvexPolygon,
-        t_key=None,
+        upto: Optional[int] = None,
     ) -> LevelRegion:
         """Level region from the *pruned* site set (sound: a site whose
         bisector stays farther from ``t`` than every region vertex cannot
-        affect the cell)."""
-        t_key = t_id if t_key is None else t_key
-        sites = []
-        for tid, loc in known.items():
-            if tid != t_key:
-                d = distance(loc, t_loc)
-                if d > 0.0:
-                    sites.append((d, tid, loc))
-        sites.sort(key=itemgetter(0))  # stable: ties keep dict order
+        affect the cell).  Sites come nearest first, ties in first-seen
+        order; ``t_id`` and sites at ``t`` itself are left out."""
+        ranking = sites.ranked(t_loc, upto, skip=t_id)
         fake_planes = [
             bisector_halfplane(t_loc, loc, label=label) for label, loc in fakes.items()
         ]
 
-        take = min(len(sites), 24)
+        take = min(len(ranking), 24)
         while True:
             constraints = [
-                bisector_halfplane(t_loc, loc, label=tid) for _d, tid, loc in sites[:take]
+                bisector_halfplane(t_loc, loc, label=tid) for tid, loc in ranking.nearest(take)
             ] + fake_planes
             region = build_level_region(constraints, h - 1, base, seed=t_loc)
             reach = 0.0
             for v in region.boundary_vertices():
                 reach = max(reach, distance(v, t_loc))
-            needed = bisect_right(sites, 2.0 * reach + 1e-9, key=itemgetter(0))
-            if needed <= take or take >= len(sites):
+            needed = ranking.count_within(2.0 * reach + 1e-9)
+            if needed <= take or take >= len(ranking):
                 return region
-            take = min(len(sites), max(needed, take * 2))
+            take = min(len(ranking), max(needed, take * 2))
 
     def _has_fake_edge(self, region: LevelRegion) -> bool:
         return any(
@@ -286,8 +285,11 @@ class TopHCellOracle:
         return (round(v.x / q), round(v.y / q))
 
 
-def _vertex_passes(answer, h: int, known_ids: Container) -> bool:
+def _vertex_passes(answer, h: int, t_id, sites: SiteSet, before: int) -> bool:
     """Top-h form of the Theorem-1 vertex test.
+
+    ``D'`` is ``t`` plus the sites the cell was built from: the rows of
+    ``sites`` that existed before the vertex was queried (``< before``).
 
     Claim: if every boundary vertex ``v`` of the cell built from ``D'``
     has its top-h answer contained in ``D'``, the cell is exact.  Proof
@@ -297,7 +299,10 @@ def _vertex_passes(answer, h: int, known_ids: Container) -> bool:
     ``v``; were they all in ``D'``, the ``D'`` cell would already exclude
     ``v`` — contradiction.  Hence some top-h answer at ``v`` is new.
     """
-    return all(res.tid in known_ids for res in answer.results[:h])
+    return all(
+        res.tid == t_id or sites.row(res.tid, before) < before
+        for res in answer.results[:h]
+    )
 
 
 def _safe_inv(measure: float) -> float:
