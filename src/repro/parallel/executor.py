@@ -139,7 +139,9 @@ def _default_context() -> mp.context.BaseContext:
 def _write_json_atomic(path: str, payload: dict) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(payload, f)
+        # json.dumps runs the C encoder; json.dump to a file would run
+        # the pure-Python iterencode.  Same bytes either way.
+        f.write(json.dumps(payload))
     os.replace(tmp, path)
 
 
