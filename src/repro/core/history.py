@@ -81,9 +81,6 @@ class SiteSet(Mapping):
     def __len__(self) -> int:
         return len(self._tids)
 
-    def __contains__(self, tid) -> bool:
-        return tid in self._row
-
     def row(self, tid, default: Optional[int] = None) -> Optional[int]:
         """The row ``tid`` was first seen at (``default`` if never)."""
         return self._row.get(tid, default)

@@ -288,8 +288,8 @@ class TopHCellOracle:
 def _vertex_passes(answer, h: int, t_id, sites: SiteSet, before: int) -> bool:
     """Top-h form of the Theorem-1 vertex test.
 
-    ``D'`` is ``t`` plus the sites the cell was built from: the rows of
-    ``sites`` that existed before the vertex was queried (``< before``).
+    ``D'`` is ``t`` plus every site known before the vertex was
+    queried: the rows of ``sites`` below ``before``.
 
     Claim: if every boundary vertex ``v`` of the cell built from ``D'``
     has its top-h answer contained in ``D'``, the cell is exact.  Proof
