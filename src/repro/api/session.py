@@ -249,9 +249,9 @@ class Session:
 
         ``effective_coords``/``index`` pass straight through to
         :meth:`~repro.lbs.InterfaceSpec.build` — the parallel executor's
-        sharing hooks (pre-realized obfuscation jitters, a per-worker
-        spatial index reused across runs).  Leave them ``None`` for
-        ordinary sessions.
+        sharing hooks (a worker's realized obfuscation jitters and
+        spatial index, each reused across the runs it executes).  Leave
+        them ``None`` for ordinary sessions.
         """
         spec = self.spec
         db, census = _resolve_world(self.world)
@@ -442,9 +442,9 @@ def run_many(
     bit-identical to the sequential drive.  Parallel runs must be fully
     declarative: every run's spec has to embed the same
     :class:`~repro.worlds.WorldSpec` (the world is rebuilt/cached once
-    and shared over shared memory), none may have been advanced yet, and
-    ``max_total_queries`` — a *shared* pool, inherently sequential
-    bookkeeping — is not supported.
+    and handed to the workers as one private cache entry), none may
+    have been advanced yet, and ``max_total_queries`` — a *shared*
+    pool, inherently sequential bookkeeping — is not supported.
     """
     if max_total_queries is not None and max_total_queries < 0:
         raise ValueError("max_total_queries must be non-negative")

@@ -114,8 +114,8 @@ class ShardedGridIndex:
 
         Same ingest discipline as ``GridIndex.from_arrays``: one stable
         argsort by item id, coordinates gathered by that order.  Works
-        directly over frozen (``writeable=False``) shared-memory views —
-        the gather copies, the source is never written.
+        directly over frozen (``writeable=False``) mmapped views — the
+        gather copies, the source is never written.
         """
         items_arr = np.asarray(items)
         try:

@@ -123,9 +123,9 @@ class SpatialDatabase:
         # Ingested arrays become the database's storage without a copy,
         # so an accidental in-place write through a kept reference — or
         # through .coords/.column() — would silently corrupt the
-        # database (and, for mmapped / shared-memory worlds, every
-        # other attached process).  Enforce the "callers must not
-        # mutate" contract at the array level: mutation raises.
+        # database (and, for mmapped worlds, every other attached
+        # process).  Enforce the "callers must not mutate" contract at
+        # the array level: mutation raises.
         db._freeze_arrays()
         return db
 

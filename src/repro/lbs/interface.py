@@ -64,9 +64,9 @@ def realize_positions(
 
     One jitter draw over the coordinate columns, clamped to the service
     region in one vectorized pass: obfuscated positions still live in
-    the service's world.  Every interface build and the parallel
-    executor's pre-draw call this one function, so their positions are
-    bit-identical.
+    the service's world.  Every interface build and each parallel
+    worker's once-per-model draw call this one function, so their
+    positions are bit-identical.
     """
     region = database.region
     eff = obfuscation.effective_coords(database.coords, database.tids)

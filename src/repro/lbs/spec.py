@@ -205,10 +205,10 @@ class InterfaceSpec:
         ``effective_coords`` and ``index`` are sharing hooks for the
         parallel executor: pre-realized obfuscated positions (the exact
         ``(N, 2)`` array the interface would draw and clamp itself —
-        e.g. exported once over shared memory instead of redrawn per
-        worker) and a pre-built spatial index over the coordinates the
-        interface ranks with.  Both are bit-identity-preserving; leave
-        them ``None`` everywhere else.
+        drawn once per worker instead of once per run) and a pre-built
+        spatial index over the coordinates the interface ranks with.
+        Both are bit-identity-preserving; leave them ``None`` everywhere
+        else.
         """
         cls = LrLbsInterface if self.kind == "lr" else LnrLbsInterface
         interface: KnnInterface = cls(

@@ -5,9 +5,10 @@ Three layers, each usable alone:
 * :class:`WorldCache` — on-disk cache of built worlds keyed by
   :meth:`~repro.worlds.WorldSpec.content_hash`; a hit loads the database
   over read-only mmapped arrays instead of re-running synthesis.
-* :class:`SharedWorld` — a built world exported into
-  ``multiprocessing.shared_memory`` segments behind a picklable
-  descriptor; attaching processes rebuild the database zero-copy.
+* :class:`SharedWorld` — a built world stored as a cache entry under a
+  private root (in ``/dev/shm`` where it exists) behind a picklable
+  descriptor; attaching processes load it with the cache's reader, over
+  read-only mmaps of the same files.
 * :func:`run_many_parallel` — fan independent estimation runs across a
   process pool over one shared world, bit-identical to the sequential
   :func:`repro.api.run_many` (which also fronts this via ``workers=``).

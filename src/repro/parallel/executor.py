@@ -2,8 +2,9 @@
 
 :func:`run_many_parallel` takes fully declarative runs — specs that all
 embed the *same* :class:`~repro.worlds.WorldSpec`, paired with stopping
-rules — builds (or cache-loads) the world once, exports it over shared
-memory, and fans the runs across a pool of worker processes.  Results
+rules — builds (or cache-loads) the world once, exports it as a private
+:class:`~repro.parallel.WorldCache` entry (:class:`SharedWorld`), and
+fans the runs across a pool of worker processes.  Results
 are **bit-identical** to driving the same specs sequentially through
 :func:`repro.api.run_many`: runs are independent (each owns its seed,
 RNG stream, budget, and answer cache), so distributing them changes
@@ -11,18 +12,20 @@ nothing about what any single run computes.
 
 What is shared, and why it is safe:
 
-* the database columns — read-only shared-memory views (a worker
-  physically cannot mutate them);
-* realized obfuscation jitters — the parent pre-draws each distinct
-  :class:`~repro.lbs.ObfuscationModel`'s ``(N, 2)`` effective-coordinate
-  array with :func:`~repro.lbs.interface.realize_positions`, the call an
-  interface makes at construction, and exports it, so workers skip the
-  draw *and* all runs agree on the service's positions exactly as
-  rebuilt interfaces do;
+* the database columns — read-only mmaps of the exported entry's
+  files (a worker physically cannot mutate them);
+* per-worker realized obfuscation jitters — each worker calls
+  :func:`~repro.lbs.interface.realize_positions`, the call an interface
+  makes at construction, once per distinct
+  :class:`~repro.lbs.ObfuscationModel` and reuses the ``(N, 2)`` array
+  across the runs it executes; the draw is a function of the model and
+  the world alone, so every worker and every rebuilt interface agrees
+  on the service's positions;
 * per-worker spatial indexes — each worker builds the index for a given
-  (coordinates, backend) combination once and reuses it across the runs
-  it executes; index construction is deterministic, so a shared index
-  answers bit-identically to a per-run one.
+  (obfuscation model, backend, ``auto_brute_max``) combination once and
+  reuses it across the runs it executes; index construction is
+  deterministic, so a shared index answers bit-identically to a per-run
+  one.
 
 Workers stream a :class:`RunProgress` event per checkpoint over their
 result pipes, and optionally persist each run's
@@ -54,7 +57,6 @@ Failure handling (``retries`` / ``run_deadline``):
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
@@ -64,8 +66,6 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
-
-import numpy as np
 
 from ..api.session import Session, SessionRun
 from ..api.spec import EstimationSpec
@@ -120,12 +120,6 @@ class ParallelRunError(RuntimeError):
 # ----------------------------------------------------------------------
 # Parent-side helpers
 # ----------------------------------------------------------------------
-def _effective_coords_key(obfuscation) -> str:
-    """Stable name for one obfuscation model's realized jitter array."""
-    text = json.dumps(obfuscation.to_dict(), sort_keys=True)
-    return "eff-" + hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
 def _default_context() -> mp.context.BaseContext:
     # fork shares the parent's loaded modules for free; spawn is the
     # portable fallback (everything shipped to workers pickles).
@@ -162,12 +156,19 @@ def _load_resume_state(state_path: Optional[str], attempt: int) -> Optional[dict
         return None
 
 
-def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
-                 eff_key, results, checkpoint_dir, state_every, attempt):
+def _execute_run(world, positions, indexes, run_index, spec_json, until,
+                 results, checkpoint_dir, state_every, attempt):
     spec = EstimationSpec.from_json(spec_json)
-    eff = shared.extra(eff_key) if eff_key is not None else None
+    db = world.db
+    obfuscation = spec.interface_spec().obfuscation
+    eff = None
+    if obfuscation is not None:
+        eff = positions.get(obfuscation)
+        if eff is None:
+            eff = positions[obfuscation] = realize_positions(db, obfuscation)
+            eff.flags.writeable = False  # shared by every run of this worker
     engine = spec.engine if spec.engine is not None else QueryEngineConfig()
-    index_key = (eff_key, engine.index_backend, engine.auto_brute_max)
+    index_key = (obfuscation, engine.index_backend, engine.auto_brute_max)
     index = indexes.get(index_key)
     if index is None:
         coords = eff if eff is not None else db.coords
@@ -183,8 +184,9 @@ def _execute_run(world, db, shared, indexes, run_index, spec_json, until,
     state = _load_resume_state(state_path, attempt)
     if state is not None:
         # Session.resume's exact recipe, on a driver built with the
-        # shared-memory hooks: restore the learned half onto the
-        # configured half and keep counting from the original origin.
+        # worker's reused positions and index: restore the learned half
+        # onto the configured half and keep counting from the original
+        # origin.
         driver.load_state(state["driver"])
         queries_start = state["driver"].get("queries_start") or 0
     run = SessionRun(spec, driver, until, batch_size=spec.batch_size,
@@ -210,13 +212,13 @@ def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
     shared = SharedWorld.attach(descriptor)
     try:
         world = shared.world()  # one attach + database per worker
-        db = world.db
-        indexes: dict = {}
+        positions: dict = {}  # ObfuscationModel -> realized (N, 2) positions
+        indexes: dict = {}    # (model or None, backend, auto_brute_max) -> index
         while True:
             task = task_q.get()
             if task is None:
                 break
-            run_index, spec_json, until, eff_key, attempt = task
+            run_index, spec_json, until, attempt = task
             # One fresh registry per run (when the parent had one active
             # at fan-out time), snapshotted onto the result message so
             # the coordinator can merge per-run metrics exactly once —
@@ -227,9 +229,8 @@ def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
             try:
                 with scope:
                     result = _execute_run(
-                        world, db, shared, indexes, run_index, spec_json,
-                        until, eff_key, results, checkpoint_dir,
-                        state_every, attempt,
+                        world, positions, indexes, run_index, spec_json,
+                        until, results, checkpoint_dir, state_every, attempt,
                     )
                 snap = reg.to_dict() if reg is not None else None
                 results.send(("done", run_index, attempt, result, snap))
@@ -405,20 +406,6 @@ def run_many_parallel(
                 "the specs (content hashes differ); pass the world built "
                 "from that spec, or let run_many_parallel build it"
             )
-    db = world.db
-
-    # One realized jitter array per distinct obfuscation model.
-    eff_arrays: dict[str, np.ndarray] = {}
-    eff_keys: list[Optional[str]] = []
-    for spec in specs:
-        obf = spec.interface_spec().obfuscation
-        if obf is None:
-            eff_keys.append(None)
-            continue
-        key = _effective_coords_key(obf)
-        if key not in eff_arrays:
-            eff_arrays[key] = realize_positions(db, obf)
-        eff_keys.append(key)
 
     if checkpoint_dir is not None:
         checkpoint_dir = os.fspath(checkpoint_dir)
@@ -436,7 +423,7 @@ def run_many_parallel(
         if parent_reg is not None:
             parent_reg.inc(name, 1.0, labels)
 
-    shared = SharedWorld.export(world, extras=eff_arrays)
+    shared = SharedWorld.export(world)
     descriptor = shared.descriptor()
 
     pool: list[_Worker] = []          # live (or not-yet-reaped) workers
@@ -583,8 +570,7 @@ def run_many_parallel(
                 ri, attempt = pending.popleft()
                 w.run_index, w.attempt = ri, attempt
                 w.last_activity = time.monotonic()
-                w.task_q.put((ri, spec_jsons[ri], untils[ri],
-                              eff_keys[ri], attempt))
+                w.task_q.put((ri, spec_jsons[ri], untils[ri], attempt))
             # 5) A non-empty backlog with no pool left and no budget to
             #    rebuild one can never settle — fail it out loudly
             #    rather than spinning forever.

@@ -1,85 +1,47 @@
-"""Built worlds over POSIX shared memory, for multi-process execution.
+"""Hand a built world to worker processes as a private cache entry.
 
-One process *exports* a built :class:`~repro.worlds.World` — coordinate
-and tid arrays, every attribute column with its null mask, the census
-raster, plus any extra row-aligned arrays the caller registers (the
-executor ships realized obfuscation jitters this way) — into
-:mod:`multiprocessing.shared_memory` segments.  The export yields a
-plain-dict *descriptor* that pickles across process boundaries; workers
-:meth:`~SharedWorld.attach` to it and rebuild a
-:class:`~repro.lbs.SpatialDatabase` whose storage *is* the shared
-segments: zero copies per worker, and the ingest-time freeze
-(``writeable=False``) guarantees no worker can scribble on another's
-view.
+One process *exports* a built :class:`~repro.worlds.World`: it stores
+the world with :class:`~repro.parallel.WorldCache`'s writer under a
+fresh private root, a ``tempfile.mkdtemp`` directory (mode 0700) in
+``/dev/shm`` when that exists, else in the temp directory.  The export
+yields a plain-dict *descriptor* that pickles across process
+boundaries; workers :meth:`~SharedWorld.attach` to it and load the
+entry with the cache's reader — read-only mmaps of the same files, the
+same format and hash checks, and one code path under both the fork and
+the spawn start method.  Every worker maps the same pages, and the
+ingest-time freeze (``writeable=False``) guarantees no worker can
+scribble on another's view.
 
-Object-dtype columns cannot live in a flat segment; all-string columns
-re-encode as fixed-width ``U`` arrays (value-equal — see
-:mod:`repro.parallel._codec`), and anything else rides along pickled
-inside the descriptor (a private per-worker copy, still correct).
+Object columns that are not all strings are pickled into the entry
+(see :mod:`repro.parallel.worldcache`), which is why the root is
+readable and writable by its owner only.
 
-Lifecycle: the exporting process owns the segments — ``close()`` on an
-attached ``SharedWorld`` releases the worker's mapping, ``destroy()``
-on the owner unlinks the segments from the system.  Both are idempotent
-and context-manager wired.  Segment names embed the owning pid, so
-:func:`cleanup_stale_segments` can sweep leftovers of crashed owners
-from ``/dev/shm`` without touching live ones.
-
-A note on CPython's resource tracker (≤ 3.12, python/cpython#82300):
-attaching registers the segment as if the attacher owned it.  For the
-executor's workers this is harmless — a ``multiprocessing`` child shares
-the parent's tracker process, whose per-name registry is a set, so the
-attach-time re-registration is a no-op and the parent's ``destroy()``
-unregisters exactly once.  (Unregistering from a child would *remove
-the parent's registration* for everyone — the registry is not
-refcounted.)  Only a process that is **not** a descendant of the
-exporter spins up its own tracker, which would unlink the owner's
-segments when it exits; such attachers should pass
-``attach(..., untrack=True)``.
+Lifecycle: the exporting process owns the root — ``close()`` on an
+attached ``SharedWorld`` drops the worker's world, ``destroy()`` on the
+owner removes the root.  Both are idempotent and context-manager wired.
+Root names embed the owning pid (``reprow-<pid hex>-…``), so
+:func:`cleanup_stale_segments` can sweep the roots of crashed owners
+without touching live ones.
 """
 
 from __future__ import annotations
 
 import os
-from multiprocessing import resource_tracker, shared_memory
-from typing import Mapping, Optional
+import shutil
+import tempfile
+from pathlib import Path
+from typing import Optional
 
-import numpy as np
-
-from ..lbs.columns import Column
-from ..lbs.database import SpatialDatabase
-from ..worlds.spec import World, WorldSpec
-from ._codec import OBJECT, encode_column_values
+from ..worlds.spec import World
+from .worldcache import WorldCache, read_entry
 
 __all__ = ["SharedWorld", "cleanup_stale_segments"]
 
-#: Segment names look like ``reprow-<owner pid hex>-<random>``.
+#: Root names look like ``reprow-<owner pid hex>-<random>``.
 _PREFIX = "reprow"
 
-_SHM_DIR = "/dev/shm"
-
-
-def _new_segment(nbytes: int) -> shared_memory.SharedMemory:
-    for _ in range(8):
-        name = f"{_PREFIX}-{os.getpid():08x}-{os.urandom(6).hex()}"
-        try:
-            return shared_memory.SharedMemory(name=name, create=True,
-                                              size=max(nbytes, 1))
-        except FileExistsError:  # astronomically unlikely; reroll
-            continue
-    raise RuntimeError("cannot allocate a unique shared-memory segment name")
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Undo the resource tracker's spurious ownership claim on attach.
-
-    Only correct when this process runs its *own* tracker (i.e. it is
-    not a ``multiprocessing`` descendant of the exporter) — see the
-    module docstring.
-    """
-    try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
+#: Where export roots live; in RAM when the platform offers ``/dev/shm``.
+_EXPORT_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
 
 
 def _pid_alive(pid: int) -> bool:
@@ -93,17 +55,18 @@ def _pid_alive(pid: int) -> bool:
 
 
 def cleanup_stale_segments() -> list[str]:
-    """Unlink segments whose owning process is gone; returns their names.
+    """Remove exports whose owning process is gone; returns their names.
 
-    Scans ``/dev/shm`` for this module's naming pattern and removes
-    entries whose embedded pid no longer exists — the debris of an owner
-    that crashed between export and ``destroy()``.  Best-effort and
-    safe to call anytime: live owners' segments are never touched, and
-    platforms without ``/dev/shm`` simply report nothing.
+    Scans the export directory for this module's naming pattern and
+    removes entries whose embedded pid no longer exists — the root of
+    an owner that crashed between export and ``destroy()``, or a
+    shared-memory segment file left by releases that exported into
+    segments.  Best-effort and safe to call anytime: live owners'
+    exports are never touched.
     """
     removed: list[str] = []
     try:
-        entries = os.listdir(_SHM_DIR)
+        entries = os.listdir(_EXPORT_DIR)
     except OSError:
         return removed
     for entry in entries:
@@ -116,8 +79,12 @@ def cleanup_stale_segments() -> list[str]:
             continue
         if _pid_alive(pid):
             continue
+        path = os.path.join(_EXPORT_DIR, entry)
         try:
-            os.unlink(os.path.join(_SHM_DIR, entry))
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            else:
+                os.unlink(path)
             removed.append(entry)
         except OSError:
             pass
@@ -125,217 +92,65 @@ def cleanup_stale_segments() -> list[str]:
 
 
 class SharedWorld:
-    """A built world whose arrays live in shared-memory segments.
+    """A built world stored as a cache entry under a private root.
 
     Create with :meth:`export` (the owning side) or :meth:`attach` (a
-    worker, from the owner's :meth:`descriptor`); call :meth:`world`
-    for a :class:`~repro.worlds.World` over the shared storage.
+    worker, from the owner's :meth:`descriptor`); :meth:`world` is the
+    :class:`~repro.worlds.World` — on an attached side, its database is
+    backed by the entry's mmapped files.
     """
 
-    def __init__(self, meta: dict,
-                 segments: dict[str, shared_memory.SharedMemory],
-                 arrays: dict[str, np.ndarray],
-                 objects: dict[str, np.ndarray],
-                 owner: bool):
-        self._meta = meta
-        self._segments = segments
-        self._arrays = arrays
-        self._objects = objects
+    def __init__(self, entry: Path, world: Optional[World], owner: bool):
+        self._entry = entry
+        self._world = world
         self._owner = owner
 
-    # ------------------------------------------------------------------
     @classmethod
-    def export(cls, world: World,
-               extras: Optional[Mapping[str, np.ndarray]] = None) -> "SharedWorld":
-        """Copy a built world's arrays into fresh shared segments.
+    def export(cls, world: World) -> "SharedWorld":
+        """Store a built world under a fresh private root.
 
-        ``extras`` registers additional row-aligned arrays under caller
-        chosen names, retrievable worker-side via :meth:`extra` — the
-        executor ships pre-realized obfuscation jitters this way.  The
-        world must carry a :class:`~repro.worlds.WorldSpec` (workers
-        rebuild the region and census geometry from it).
+        The world must carry a :class:`~repro.worlds.WorldSpec`, which
+        names its entry.
         """
-        spec = getattr(world, "spec", None)
-        if not isinstance(spec, WorldSpec):
-            raise TypeError(
-                "only worlds built from a WorldSpec can be shared (workers "
-                "reconstruct region/census geometry from the spec)"
-            )
-        db: SpatialDatabase = world.db
-        segments: dict[str, shared_memory.SharedMemory] = {}
-        arrays: dict[str, np.ndarray] = {}
-        objects: dict[str, np.ndarray] = {}
-
-        def put(key: str, arr: np.ndarray) -> None:
-            arr = np.ascontiguousarray(arr)
-            if arr.dtype == object:
-                objects[key] = arr
-                return
-            shm = _new_segment(arr.nbytes)
-            view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-            view[...] = arr
-            view.flags.writeable = False
-            segments[key] = shm
-            arrays[key] = view
-
+        root = tempfile.mkdtemp(prefix=f"{_PREFIX}-{os.getpid():08x}-",
+                                dir=_EXPORT_DIR)
         try:
-            put("xy", db.coords)
-            put("tids", db.tids)
-            columns = []
-            for i, name in enumerate(db.column_names()):
-                col = db.column(name)
-                encoding, values = encode_column_values(col)
-                vkey = f"col{i:03d}"
-                if encoding == OBJECT:
-                    objects[vkey] = values
-                else:
-                    put(vkey, values)
-                pkey = None
-                if col.present is not None:
-                    pkey = f"{vkey}.present"
-                    put(pkey, col.present)
-                columns.append({"name": name, "values": vkey, "present": pkey})
-            census_key = None
-            if world.census is not None:
-                census_key = "census"
-                put(census_key, world.census.weights)
-            extras_map = {}
-            for name, arr in (extras or {}).items():
-                key = f"extra.{name}"
-                put(key, np.asarray(arr))
-                extras_map[name] = key
+            entry = WorldCache(root).store(world)
         except BaseException:
-            arrays.clear()
-            for shm in segments.values():
-                try:
-                    shm.unlink()
-                except OSError:
-                    pass
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
+            shutil.rmtree(root, ignore_errors=True)
             raise
-        meta = {
-            "world": spec.to_dict(),
-            "columns": columns,
-            "census": census_key,
-            "extras": extras_map,
-        }
-        return cls(meta, segments, arrays, objects, owner=True)
+        return cls(entry, world, owner=True)
 
-    # ------------------------------------------------------------------
     def descriptor(self) -> dict:
-        """A picklable description another process can :meth:`attach` to.
-
-        Plain dicts, segment names, and the (small) pickled object
-        columns — no live handles.
-        """
-        return {
-            "meta": self._meta,
-            "segments": {
-                key: {
-                    "name": self._segments[key].name,
-                    "shape": list(arr.shape),
-                    "dtype": arr.dtype.str,
-                }
-                for key, arr in self._arrays.items()
-            },
-            "objects": self._objects,
-        }
+        """A picklable description another process can :meth:`attach` to."""
+        return {"entry": str(self._entry)}
 
     @classmethod
-    def attach(cls, descriptor: dict, *, untrack: bool = False) -> "SharedWorld":
-        """Map an exported world into this process (read-only views).
+    def attach(cls, descriptor: dict) -> "SharedWorld":
+        """Load an exported world in this process (read-only mmaps).
 
-        Pass ``untrack=True`` only from a process that is *not* a
-        ``multiprocessing`` descendant of the exporter, to stop its
-        private resource tracker from unlinking the owner's segments at
-        exit (see the module docstring).  The executor's pool workers —
-        descendants sharing the owner's tracker — must leave it False.
+        Raises ``FileNotFoundError`` once the owner has destroyed the
+        export; attaching creates nothing on disk.
         """
-        segments: dict[str, shared_memory.SharedMemory] = {}
-        arrays: dict[str, np.ndarray] = {}
-        try:
-            for key, info in descriptor["segments"].items():
-                shm = shared_memory.SharedMemory(name=info["name"])
-                if untrack:
-                    _untrack(shm)
-                segments[key] = shm
-                view = np.ndarray(
-                    tuple(info["shape"]), dtype=np.dtype(info["dtype"]),
-                    buffer=shm.buf,
-                )
-                view.flags.writeable = False
-                arrays[key] = view
-        except BaseException:
-            arrays.clear()
-            for shm in segments.values():
-                try:
-                    shm.close()
-                except BufferError:
-                    pass
-            raise
-        return cls(descriptor["meta"], segments, arrays,
-                   dict(descriptor["objects"]), owner=False)
-
-    # ------------------------------------------------------------------
-    def _values(self, key: str) -> np.ndarray:
-        if key in self._arrays:
-            return self._arrays[key]
-        return self._objects[key]
-
-    def extra(self, name: str) -> np.ndarray:
-        """A caller-registered extra array (see :meth:`export`)."""
-        return self._arrays[self._meta["extras"][name]]
-
-    def spec(self) -> WorldSpec:
-        return WorldSpec.from_dict(self._meta["world"])
+        entry = Path(descriptor["entry"])
+        return cls(entry, read_entry(entry), owner=False)
 
     def world(self) -> World:
-        """A :class:`~repro.worlds.World` whose database storage is the
-        shared segments (built fresh per call; cache it per process)."""
-        spec = self.spec()
-        rect = spec.region.rect
-        columns: dict[str, Column] = {}
-        for entry in self._meta["columns"]:
-            present = self._values(entry["present"]) if entry["present"] else None
-            columns[entry["name"]] = Column(self._values(entry["values"]), present)
-        db = SpatialDatabase.from_columns(
-            self._values("xy"), self._values("tids"), columns, rect
-        )
-        census = None
-        if self._meta["census"]:
-            from ..datasets.census import PopulationGrid  # datasets wraps worlds
+        """The exported world (the same object on every call)."""
+        if self._world is None:
+            raise RuntimeError("this SharedWorld is closed")
+        return self._world
 
-            census = PopulationGrid(rect, self._values(self._meta["census"]))
-        return World(spec=spec, db=db, census=census)
-
-    # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release this process's mappings (idempotent).
-
-        Drops the array views first; a segment whose buffer is still
-        exported elsewhere (a live database over it) stays mapped until
-        the process exits — that is fine for a worker on its way out.
-        """
-        self._arrays.clear()
-        for shm in self._segments.values():
-            try:
-                shm.close()
-            except BufferError:
-                pass
-        self._segments.clear()
+        """Drop this process's world (idempotent).  A database still in
+        use elsewhere keeps its mmaps alive until it is released."""
+        self._world = None
 
     def destroy(self) -> None:
-        """Owner teardown: unlink every segment, then release (idempotent)."""
+        """Owner teardown: remove the private root (idempotent)."""
         if not self._owner:
-            raise RuntimeError("only the exporting process may destroy segments")
-        for shm in self._segments.values():
-            try:
-                shm.unlink()
-            except OSError:
-                pass
+            raise RuntimeError("only the exporting process may destroy an export")
+        shutil.rmtree(self._entry.parent, ignore_errors=True)
         self.close()
 
     def __enter__(self) -> "SharedWorld":

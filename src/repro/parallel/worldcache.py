@@ -26,6 +26,29 @@ discards its copy).  Loaded coordinate/tid/typed-column arrays are
 read-only mmap views — :meth:`SpatialDatabase.from_columns` adopts them
 zero-copy and freezes them like any other ingest — so a cache hit pays
 no deserialization proportional to the world size.
+
+Column encodings.  Typed columns (float64/int64/bool) are flat buffers
+and are saved as they are.  Object-dtype columns store pointers and
+cannot be mmapped, so each is saved one of two ways:
+
+* ``"unicode"`` — a column whose *present* values are all ``str`` is
+  re-encoded as a fixed-width NumPy ``U`` array (absent slots get ``""``
+  as the never-read filler, exactly like typed columns use zero).  The
+  loaded column is *value-equal* to the original through every
+  consumer — ``value_at``/``gather_attrs`` convert through
+  ``.item()``/``.tolist()``, which return plain ``str``, and
+  ``AttrEquals`` masks gate absent slots by the present mask — but its
+  array dtype is ``U<n>`` rather than ``object``.
+* ``"object"`` — anything else is pickled into its ``.npy`` file and
+  loaded back as a private copy.  Loading unpickles, so a cache root
+  must be writable only by its owner.
+
+Every world the :mod:`repro.worlds` synthesis pipeline builds is saved
+without the pickle fallback: its columns are typed or all-``str``.
+
+The entry layout is also how :class:`~repro.parallel.SharedWorld` hands
+a world to worker processes: it stores one entry under a private root
+and each worker loads it with :func:`read_entry`.
 """
 
 from __future__ import annotations
@@ -43,15 +66,85 @@ from ..lbs.database import SpatialDatabase
 from ..obs import registry as _obs
 from ..obs.tracing import span as _span
 from ..worlds.spec import WORLD_CACHE_FORMAT, World, WorldSpec
-from ._codec import OBJECT, encode_column_values
 
 __all__ = ["WorldCache", "WorldCacheError"]
 
 _META = "meta.json"
 
+_TYPED = "typed"
+_UNICODE = "unicode"
+_OBJECT = "object"
+
 
 class WorldCacheError(RuntimeError):
     """A cache entry exists but cannot be loaded (corrupt or foreign)."""
+
+
+def _encode_column(col: Column) -> tuple[str, np.ndarray]:
+    """``(encoding, array)`` for one column's values (see the module
+    docstring); the present mask, when any, is saved separately and
+    unchanged."""
+    values = col.values
+    if values.dtype != object:
+        return _TYPED, values
+    vals = values.tolist()
+    if col.present is None:
+        live = vals
+    else:
+        live = [v for v, p in zip(vals, col.present.tolist()) if p]
+    if live and all(type(v) is str for v in live):
+        if col.present is not None:
+            vals = [v if p else "" for v, p in zip(vals, col.present.tolist())]
+        return _UNICODE, np.array(vals, dtype="U")
+    return _OBJECT, values
+
+
+def read_entry(path: Path) -> World:
+    """The world stored in the entry directory ``path``.
+
+    Arrays come back as read-only mmaps.  Raises
+    :class:`WorldCacheError` for an entry of another format or one
+    whose spec does not hash to its directory name; a missing entry
+    raises ``FileNotFoundError``.  Reading creates nothing on disk.
+    """
+    with open(path / _META, encoding="utf-8") as f:
+        meta = json.load(f)
+    if meta.get("format") != WORLD_CACHE_FORMAT:
+        raise WorldCacheError(
+            f"cache entry {path} has format {meta.get('format')!r}, "
+            f"this release writes {WORLD_CACHE_FORMAT}"
+        )
+    stored = WorldSpec.from_dict(meta["world"])
+    if stored.content_hash() != path.name:
+        raise WorldCacheError(
+            f"cache entry {path} describes a different world than its "
+            "hash claims — evict and rebuild"
+        )
+    xy = np.load(path / "xy.npy", mmap_mode="r")
+    tids = np.load(path / "tids.npy", mmap_mode="r")
+    columns: dict[str, Column] = {}
+    for i, entry in enumerate(meta["columns"]):
+        if entry["encoding"] == _OBJECT:
+            values = np.load(path / f"col{i:03d}.npy", allow_pickle=True)
+        else:
+            values = np.load(path / f"col{i:03d}.npy", mmap_mode="r")
+        present = None
+        if entry["present"]:
+            present = np.load(path / f"col{i:03d}.present.npy", mmap_mode="r")
+        columns[entry["name"]] = Column(values, present)
+    db = SpatialDatabase.from_columns(xy, tids, columns, stored.region.rect)
+    census = None
+    if meta.get("census"):
+        # PopulationGrid re-derives everything from (region, weights),
+        # exactly as the spec build does internally — same sampler
+        # behaviour, bit for bit.  Imported lazily to keep the
+        # datasets-wraps-worlds import graph one-directional.
+        from ..datasets.census import PopulationGrid
+
+        census = PopulationGrid(
+            stored.region.rect, np.load(path / "census.npy", mmap_mode="r")
+        )
+    return World(spec=stored, db=db, census=census)
 
 
 class WorldCache:
@@ -126,9 +219,9 @@ class WorldCache:
         manifest = []
         for i, name in enumerate(db.column_names()):
             col = db.column(name)
-            encoding, values = encode_column_values(col)
+            encoding, values = _encode_column(col)
             np.save(path / f"col{i:03d}.npy", values,
-                    allow_pickle=encoding == OBJECT)
+                    allow_pickle=encoding == _OBJECT)
             if col.present is not None:
                 np.save(path / f"col{i:03d}.present.npy", col.present)
             manifest.append({
@@ -163,51 +256,11 @@ class WorldCache:
         if not (path / _META).is_file():
             return None
         try:
-            return self._read_entry(path, spec)
+            return read_entry(path)
         except WorldCacheError:
             raise
         except Exception as exc:
             raise WorldCacheError(f"cannot load cache entry {path}: {exc}") from exc
-
-    def _read_entry(self, path: Path, spec: WorldSpec) -> World:
-        with open(path / _META, encoding="utf-8") as f:
-            meta = json.load(f)
-        if meta.get("format") != WORLD_CACHE_FORMAT:
-            raise WorldCacheError(
-                f"cache entry {path} has format {meta.get('format')!r}, "
-                f"this release writes {WORLD_CACHE_FORMAT}"
-            )
-        stored = WorldSpec.from_dict(meta["world"])
-        if stored.content_hash() != path.name:
-            raise WorldCacheError(
-                f"cache entry {path} describes a different world than its "
-                "hash claims — evict and rebuild"
-            )
-        xy = np.load(path / "xy.npy", mmap_mode="r")
-        tids = np.load(path / "tids.npy", mmap_mode="r")
-        columns: dict[str, Column] = {}
-        for i, entry in enumerate(meta["columns"]):
-            if entry["encoding"] == OBJECT:
-                values = np.load(path / f"col{i:03d}.npy", allow_pickle=True)
-            else:
-                values = np.load(path / f"col{i:03d}.npy", mmap_mode="r")
-            present = None
-            if entry["present"]:
-                present = np.load(path / f"col{i:03d}.present.npy", mmap_mode="r")
-            columns[entry["name"]] = Column(values, present)
-        db = SpatialDatabase.from_columns(xy, tids, columns, stored.region.rect)
-        census = None
-        if meta.get("census"):
-            # PopulationGrid re-derives everything from (region, weights),
-            # exactly as the spec build does internally — same sampler
-            # behaviour, bit for bit.  Imported lazily to keep the
-            # datasets-wraps-worlds import graph one-directional.
-            from ..datasets.census import PopulationGrid
-
-            census = PopulationGrid(
-                stored.region.rect, np.load(path / "census.npy", mmap_mode="r")
-            )
-        return World(spec=stored, db=db, census=census)
 
     # ------------------------------------------------------------------
     def load_or_build(

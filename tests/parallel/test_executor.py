@@ -1,6 +1,7 @@
 """run_many_parallel: bit-identity vs sequential, checkpoints, failures."""
 
 import json
+import multiprocessing as mp
 import os
 
 import pytest
@@ -33,6 +34,20 @@ def lnr_specs():
     return [base.seed(s).spec for s in (4, 5)]
 
 
+@pytest.fixture(scope="module")
+def mixed_obfuscation_specs():
+    """Runs over one world under two obfuscation models and none: the
+    first model twice, so a worker reuses its realized positions."""
+    base = Session(registry.get("paper/clustered").with_size(300)).lr(k=5)
+    a = ObfuscationModel(sigma=2.0, seed=11)
+    b = ObfuscationModel(sigma=3.5, seed=12, clip=5.0)
+    plan = [(a, 4), (b, 5), (None, 6), (a, 7)]
+    return [
+        base.service(obfuscation=obf).count().seed(seed).spec
+        for obf, seed in plan
+    ]
+
+
 def sequential(specs, until):
     return [Session.from_spec(s).run(until) for s in specs]
 
@@ -59,6 +74,19 @@ class TestBitIdentity:
         assert_results_identical(
             sequential(lnr_specs, until),
             run_many_parallel(lnr_specs, until, workers=2),
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_mixed_obfuscation_models(self, mixed_obfuscation_specs, method,
+                                      workers):
+        if method not in mp.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        until = MaxSamples(8)
+        assert_results_identical(
+            sequential(mixed_obfuscation_specs, until),
+            run_many_parallel(mixed_obfuscation_specs, until, workers=workers,
+                              mp_context=mp.get_context(method)),
         )
 
     def test_one_worker_and_excess_workers_agree(self, lr_specs):

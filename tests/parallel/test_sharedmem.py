@@ -1,14 +1,25 @@
-"""SharedWorld: export/attach round trips, lifecycle, stale-segment sweep."""
+"""SharedWorld: export/attach round trips, lifecycle, stale-export sweep."""
 
 import multiprocessing as mp
 import os
+import shutil
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import MaxSamples, Session
-from repro.parallel import SharedWorld, cleanup_stale_segments
-from repro.parallel.sharedmem import _PREFIX, _SHM_DIR
+from repro.parallel import (
+    ParallelRunError,
+    SharedWorld,
+    cleanup_stale_segments,
+    run_many_parallel,
+)
+from repro.parallel.sharedmem import _EXPORT_DIR, _PREFIX
 from repro.worlds import registry
 
 
@@ -17,11 +28,17 @@ def world():
     return registry.get("paper/clustered").with_size(300).build()
 
 
-def _segment_names():
+def _export_names(pid=None):
+    """Export-directory entries named like an export, of ``pid`` if given."""
+    prefix = _PREFIX + "-" if pid is None else f"{_PREFIX}-{pid:08x}-"
     try:
-        return {e for e in os.listdir(_SHM_DIR) if e.startswith(_PREFIX + "-")}
+        return {e for e in os.listdir(_EXPORT_DIR) if e.startswith(prefix)}
     except OSError:
         return set()
+
+
+def _export_root(shared):
+    return Path(shared.descriptor()["entry"]).parent
 
 
 class TestRoundTrip:
@@ -58,17 +75,6 @@ class TestRoundTrip:
             finally:
                 att.close()
 
-    def test_extras_travel(self, world):
-        eff = world.db.coords + 1.0
-        with SharedWorld.export(world, extras={"eff": eff}) as shared:
-            att = SharedWorld.attach(shared.descriptor())
-            try:
-                got = att.extra("eff")
-                assert np.array_equal(got, eff)
-                assert not got.flags.writeable
-            finally:
-                att.close()
-
     def test_estimation_over_attached_world_is_identical(self, world):
         with SharedWorld.export(world) as shared:
             att = SharedWorld.attach(shared.descriptor())
@@ -99,8 +105,10 @@ class TestRoundTrip:
             ]
 
     def test_export_requires_a_spec(self, world):
+        before = _export_names(os.getpid())
         with pytest.raises(TypeError, match="WorldSpec"):
             SharedWorld.export(world.db)
+        assert _export_names(os.getpid()) == before
 
 
 def _child_checksum(descriptor, conn):
@@ -114,12 +122,25 @@ def _child_checksum(descriptor, conn):
 
 class TestLifecycle:
     def test_destroy_removes_segments(self, world):
-        before = _segment_names()
+        """The export is one private root directory; destroy removes it."""
+        before = _export_names()
         shared = SharedWorld.export(world)
-        created = _segment_names() - before
-        assert created  # segments actually live in /dev/shm
+        created = _export_names() - before
+        root = _export_root(shared)
+        assert created == {root.name}
+        assert root.parent == Path(_EXPORT_DIR)
+        assert root.name.startswith(f"{_PREFIX}-{os.getpid():08x}-")
+        assert root.is_dir()
         shared.destroy()
-        assert not (_segment_names() & created)
+        assert not root.exists()
+        assert not (_export_names() & created)
+
+    def test_export_root_is_private(self, world):
+        # The entry may hold pickled object columns, and attaching
+        # unpickles them: no other user may write there.
+        with SharedWorld.export(world) as shared:
+            mode = stat.S_IMODE(os.stat(_export_root(shared)).st_mode)
+            assert mode == 0o700
 
     def test_destroy_is_idempotent_and_owner_only(self, world):
         shared = SharedWorld.export(world)
@@ -132,29 +153,82 @@ class TestLifecycle:
         shared.destroy()
 
     def test_attach_after_destroy_fails(self, world):
+        before = _export_names()
         shared = SharedWorld.export(world)
         descriptor = shared.descriptor()
         shared.destroy()
         with pytest.raises(FileNotFoundError):
             SharedWorld.attach(descriptor)
+        # A failed attach creates nothing, not even an empty root.
+        assert _export_names() == before
+        assert not Path(descriptor["entry"]).parent.exists()
 
     def test_cleanup_stale_segments_sweeps_dead_pids_only(self, world):
-        if not os.path.isdir(_SHM_DIR):
-            pytest.skip("no /dev/shm on this platform")
-        # Forge a segment owned by a pid that cannot exist.
-        stale = f"{_PREFIX}-{0x7FFFFFFE:08x}-feedface"
-        stale_path = os.path.join(_SHM_DIR, stale)
-        with open(stale_path, "wb") as f:
+        # Forge what owners that cannot exist left behind: an export
+        # root with an entry in it, and a segment file of the releases
+        # that exported into shared-memory segments.
+        dead = f"{_PREFIX}-{0x7FFFFFFE:08x}"
+        stale_root = os.path.join(_EXPORT_DIR, f"{dead}-abc123")
+        stale_segment = os.path.join(_EXPORT_DIR, f"{dead}-feedface")
+        os.makedirs(os.path.join(stale_root, "entry"))
+        with open(os.path.join(stale_root, "entry", "xy.npy"), "wb") as f:
             f.write(b"\0" * 16)
-        shared = SharedWorld.export(world)  # live segments, our pid
+        with open(stale_segment, "wb") as f:
+            f.write(b"\0" * 16)
+        shared = SharedWorld.export(world)  # a live export, our pid
         try:
             removed = cleanup_stale_segments()
-            assert stale in removed
-            assert not os.path.exists(stale_path)
+            assert {os.path.basename(stale_root),
+                    os.path.basename(stale_segment)} <= set(removed)
+            assert not os.path.exists(stale_root)
+            assert not os.path.exists(stale_segment)
             # Our live export is untouched.
+            assert _export_root(shared).name not in removed
             att = SharedWorld.attach(shared.descriptor())
+            assert att.world().db.tuples() == world.db.tuples()
             att.close()
         finally:
             shared.destroy()
-            if os.path.exists(stale_path):
-                os.unlink(stale_path)
+            if os.path.isdir(stale_root):
+                shutil.rmtree(stale_root)
+            if os.path.exists(stale_segment):
+                os.unlink(stale_segment)
+
+
+class TestNothingLeftBehind:
+    """A fan-out removes its export and starts no resource tracker."""
+
+    def test_no_export_after_run_many_parallel_returns(self):
+        base = Session(registry.get("paper/clustered").with_size(200)).lr(k=5).count()
+        specs = [base.seed(s).spec for s in (1, 2)]
+        run_many_parallel(specs, MaxSamples(3), workers=2)
+        assert _export_names(os.getpid()) == set()
+
+    def test_no_export_after_parallel_run_error(self):
+        wspec = registry.get("paper/clustered").with_size(200).replace(census=None)
+        good = Session(wspec).lr(k=5).count().seed(1).spec
+        bad = good.replace(sampler="census", seed=2)  # no census grid: raises
+        with pytest.raises(ParallelRunError):
+            run_many_parallel([good, bad], MaxSamples(3), workers=2)
+        assert _export_names(os.getpid()) == set()
+
+    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                        reason="the spawn start method runs a resource tracker")
+    def test_fan_out_starts_no_resource_tracker(self):
+        # A fresh interpreter: this one's tracker may already be running.
+        code = (
+            "from multiprocessing import resource_tracker\n"
+            "from repro.api import MaxSamples, Session\n"
+            "from repro.parallel import run_many_parallel\n"
+            "from repro.worlds import registry\n"
+            "base = Session(registry.get('paper/clustered').with_size(200))"
+            ".lr(k=5).count()\n"
+            "run_many_parallel([base.seed(s).spec for s in (1, 2)],"
+            " MaxSamples(3), workers=2)\n"
+            "print(resource_tracker._resource_tracker._pid)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             stdout=subprocess.PIPE, text=True, timeout=120)
+        assert out.stdout.splitlines()[-1] == "None"

@@ -1,10 +1,15 @@
-"""WorldCache crash consistency: torn entries are evicted, never served."""
+"""WorldCache crash consistency: torn entries are evicted, never served,
+and the export of an owner that died is swept."""
 
 import json
+import multiprocessing as mp
+import os
+from pathlib import Path
 
 import pytest
 
-from repro.parallel import WorldCache
+from repro.parallel import SharedWorld, WorldCache, cleanup_stale_segments
+from repro.parallel.sharedmem import _PREFIX
 from repro.parallel.worldcache import WorldCacheError
 from repro.worlds import registry
 
@@ -106,3 +111,41 @@ class TestTornEntries:
         assert got.estimate == want.estimate
         assert got.queries == want.queries
         assert got.trace == want.trace
+
+
+def _export_and_die(spec_dict, conn):
+    from repro.worlds import WorldSpec
+
+    shared = SharedWorld.export(WorldSpec.from_dict(spec_dict).build())
+    conn.send(shared.descriptor())
+    conn.close()
+    os._exit(1)  # no destroy(): the root stays behind
+
+
+class TestDeadOwner:
+    def test_sweep_removes_exactly_the_dead_owners_root(self, spec):
+        ctx = mp.get_context()
+        parent, child = ctx.Pipe(duplex=False)
+        proc = ctx.Process(target=_export_and_die, args=(spec.to_dict(), child))
+        proc.start()
+        child.close()
+        descriptor = parent.recv()
+        proc.join(timeout=60)
+        assert proc.exitcode == 1
+        root = Path(descriptor["entry"]).parent
+        assert root.is_dir()  # the crash left the export behind
+        assert root.name.startswith(f"{_PREFIX}-{proc.pid:08x}-")
+
+        world = spec.build()
+        with SharedWorld.export(world) as live:
+            live_root = Path(live.descriptor()["entry"]).parent
+            removed = cleanup_stale_segments()
+            dead_owner = [n for n in removed
+                          if n.startswith(f"{_PREFIX}-{proc.pid:08x}-")]
+            assert dead_owner == [root.name]
+            assert not root.exists()
+            assert live_root.is_dir()  # a live owner's export stays
+            assert live_root.name not in removed
+            attached = SharedWorld.attach(live.descriptor())
+            assert attached.world().db.tuples() == world.db.tuples()
+            attached.close()
