@@ -12,10 +12,19 @@ Each cell is one driver at one seed, run one way:
 A cell records the estimate as ``float.hex``, the queries and samples,
 and the sha256 of the final ``SessionRun.to_state`` serialized as JSON
 with sorted keys.  ``test_golden.py`` recomputes every cell and compares
-exactly.  Regenerate the file only when a change is meant to alter what
-the estimators compute, and say so in the change::
+exactly.  It also runs the nine ``scalar`` cells through one
+``run_many_parallel(workers=2)`` call that writes a checkpoint per run
+(:func:`compute_fanout`); each must match its stored cell, with the
+state digest taken from the run's final checkpoint file.  The fan-out
+adds no cells to the file.
+
+Regenerate the file only when a change is meant to alter what the
+estimators compute, and say so in the change::
 
     PYTHONPATH=src python tests/golden/regen.py
+
+Before writing, it prints every field of every cell that moved, old ->
+new, or ``no cell moved``.
 
 The cells are computed in a child interpreter with ``PYTHONHASHSEED``
 pinned.  The level-region search visits a piece's edge labels in set
@@ -32,11 +41,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import repro
 from repro.api import MaxSamples, Session
 from repro.core import LrAggConfig
+from repro.parallel import run_many_parallel
 from repro.worlds import registry
 
 HERE = Path(__file__).resolve().parent
@@ -60,11 +71,30 @@ def cell_names() -> list[str]:
     return [f"{d}/seed{s}/{m}" for d in DRIVERS for s in SEEDS for m in MODES]
 
 
+def scalar_cell_names() -> list[str]:
+    return [name for name in cell_names() if name.endswith("/scalar")]
+
+
+def cell_session(world, name: str) -> tuple[Session, int]:
+    """The cell's session (before its mode) and its sample count."""
+    driver, seed, _mode = name.split("/")
+    make, samples = DRIVERS[driver]
+    return make(Session(world)).count().seed(int(seed.removeprefix("seed"))), samples
+
+
+def fingerprint(result, state_json: str) -> dict:
+    return {
+        "estimate": result.estimate.hex(),
+        "queries": result.queries,
+        "samples": result.samples,
+        "state_sha256": hashlib.sha256(state_json.encode()).hexdigest(),
+    }
+
+
 def compute_cell(world, name: str) -> dict:
     """Run one cell and return its fingerprint."""
-    driver, seed, mode = name.split("/")
-    make, samples = DRIVERS[driver]
-    session = make(Session(world)).count().seed(int(seed.removeprefix("seed")))
+    session, samples = cell_session(world, name)
+    mode = name.rsplit("/", 1)[1]
     if mode == "batch16":
         session = session.batch(16)
     run = session.start(MaxSamples(samples))
@@ -75,13 +105,7 @@ def compute_cell(world, name: str) -> dict:
         state = json.loads(json.dumps(run.to_state()))
         run = Session.resume(world, state)
     result = run.run()
-    state = json.dumps(run.to_state(), sort_keys=True)
-    return {
-        "estimate": result.estimate.hex(),
-        "queries": result.queries,
-        "samples": result.samples,
-        "state_sha256": hashlib.sha256(state.encode()).hexdigest(),
-    }
+    return fingerprint(result, json.dumps(run.to_state(), sort_keys=True))
 
 
 def compute_all() -> dict:
@@ -90,19 +114,61 @@ def compute_all() -> dict:
     return {name: compute_cell(world, name) for name in cell_names()}
 
 
-def compute_pinned() -> dict:
-    """Every cell's fingerprint, computed in a child interpreter with
+def compute_fanout() -> dict:
+    """The ``scalar`` cells' fingerprints from one two-worker
+    ``run_many_parallel`` call, each state digest taken from the run's
+    final checkpoint file."""
+    world = registry.get(WORLD).with_size(WORLD_SIZE).build()
+    names = scalar_cell_names()
+    sessions = [cell_session(world, name) for name in names]
+    specs = [session.spec for session, _samples in sessions]
+    untils = [MaxSamples(samples) for _session, samples in sessions]
+    with tempfile.TemporaryDirectory() as ckpt:
+        results = run_many_parallel(specs, untils, workers=2, world=world,
+                                    checkpoint_dir=ckpt)
+        cells = {}
+        for i, (name, result) in enumerate(zip(names, results)):
+            with open(os.path.join(ckpt, f"run-{i:03d}.state.json"), encoding="utf-8") as f:
+                state = json.load(f)
+            cells[name] = fingerprint(result, json.dumps(state, sort_keys=True))
+    return cells
+
+
+def compute_pinned(function: str = "compute_all") -> dict:
+    """``regen.<function>()`` computed in a child interpreter with
     ``PYTHONHASHSEED`` pinned and the same ``repro`` package."""
     path = [str(HERE), str(Path(repro.__file__).resolve().parents[1])]
     env = dict(os.environ, PYTHONHASHSEED=HASH_SEED, PYTHONPATH=os.pathsep.join(path))
-    code = "import json, regen; print(json.dumps(regen.compute_all()))"
+    code = f"import json, regen; print(json.dumps(regen.{function}()))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          stdout=subprocess.PIPE, text=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def moved_fields(old: dict, new: dict) -> dict:
+    """``{cell: {field: (old, new)}}`` for every field that differs; a
+    cell or field on one side only reads ``None`` on the other."""
+    moved = {}
+    for name in sorted(set(old) | set(new)):
+        before, after = old.get(name, {}), new.get(name, {})
+        fields = {field: (before.get(field), after.get(field))
+                  for field in sorted(set(before) | set(after))
+                  if before.get(field) != after.get(field)}
+        if fields:
+            moved[name] = fields
+    return moved
+
+
 def main() -> None:
     cells = compute_pinned()
+    old = json.loads(FINGERPRINTS.read_text()) if FINGERPRINTS.is_file() else {}
+    moved = moved_fields(old, cells)
+    for name, fields in moved.items():
+        print(name)
+        for field, (before, after) in fields.items():
+            print(f"  {field}: {before} -> {after}")
+    if not moved:
+        print("no cell moved")
     FINGERPRINTS.write_text(json.dumps(cells, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(cells)} cells to {FINGERPRINTS}")
 
