@@ -3,7 +3,7 @@
 A refactor or optimization of the estimation path must leave every
 fingerprint in ``fingerprints.json`` unchanged; see ``regen.py`` for the
 cells and for how to regenerate the file.  The ``scalar`` cells must
-also come out of a two-worker ``run_many_parallel`` call unchanged.
+also come out of two-worker ``run_many_parallel`` calls unchanged.
 """
 
 import json
