@@ -281,16 +281,10 @@ class Session:
             interface, sampler, query, config=spec.config, seed=spec.seed
         )
 
-    def start(
-        self,
-        until: StoppingRule,
-        *,
-        state_every: Optional[int] = None,
-    ) -> "SessionRun":
+    def start(self, until: StoppingRule) -> "SessionRun":
         """Begin a streaming run; iterate the returned :class:`SessionRun`."""
         return SessionRun(self.spec, self.build(), until,
-                          batch_size=self.spec.batch_size,
-                          state_every=state_every, queries_start=0)
+                          batch_size=self.spec.batch_size, queries_start=0)
 
     def run(self, until: StoppingRule) -> EstimationResult:
         """Build, run to completion, and return the result."""
@@ -324,8 +318,8 @@ class Session:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def resume(world, state: dict, until: Optional[StoppingRule] = None,
-               *, state_every: Optional[int] = None) -> "SessionRun":
+    def resume(world, state: dict,
+               until: Optional[StoppingRule] = None) -> "SessionRun":
         """Continue a run from a :meth:`SessionRun.to_state` snapshot.
 
         ``world`` must be the same world the original session ran over
@@ -334,7 +328,10 @@ class Session:
         :class:`~repro.worlds.WorldSpec`, which then rebuilds it.
         ``until`` defaults to the rule serialized in the state.  The
         resumed run is bit-identical to never having paused: same RNG
-        stream, same cached knowledge, same query accounting.
+        stream, same cached knowledge, same query accounting.  The state
+        holds the query points the run paid for, not the answers; the
+        rebuilt interface recomputes those answers from the world and
+        the spec.
         """
         spec = EstimationSpec.from_dict(state["spec"])
         if world is None:
@@ -360,7 +357,7 @@ class Session:
         est.load_state(state["driver"])
         start = state["driver"].get("queries_start") or 0
         return SessionRun(spec, est, until, batch_size=spec.batch_size,
-                          state_every=state_every, queries_start=start)
+                          queries_start=start)
 
 
 class SessionRun:
@@ -373,15 +370,13 @@ class SessionRun:
     """
 
     def __init__(self, spec: EstimationSpec, est: EstimationDriver,
-                 until: StoppingRule, *, batch_size: int,
-                 state_every: Optional[int], queries_start: int):
+                 until: StoppingRule, *, batch_size: int, queries_start: int):
         self.spec = spec
         self.estimator = est
         self.until = until
         self._start = queries_start
         self._iter = est.run_iter(
-            until, batch_size=batch_size,
-            state_every=state_every, queries_start=queries_start,
+            until, batch_size=batch_size, queries_start=queries_start,
         )
         self.last: Optional[Checkpoint] = None
 

@@ -52,7 +52,7 @@ __all__ = ["EstimationDriver", "run_iter", "build_result"]
 _INF = float("inf")
 
 
-def _checkpoint(est, queries_start: int, state: Optional[dict] = None) -> Checkpoint:
+def _checkpoint(est, queries_start: int) -> Checkpoint:
     """Progress snapshot of a live estimator (no RNG consumption)."""
     stat = est._ratio.numerator if est.query.is_ratio else est._stat
     if stat.n < 2:
@@ -68,7 +68,6 @@ def _checkpoint(est, queries_start: int, state: Optional[dict] = None) -> Checkp
         estimate=estimate,
         ci=ci,
         sem=sem,
-        state=state,
         telemetry=_telemetry(est, queries, estimate, ci, sem),
     )
 
@@ -108,7 +107,6 @@ def run_iter(
     until: StoppingRule,
     batch_size: int = 1,
     *,
-    state_every: Optional[int] = None,
     queries_start: Optional[int] = None,
 ) -> Iterator[Checkpoint]:
     """Drive ``est`` until ``until`` fires, yielding per-sample checkpoints.
@@ -125,10 +123,8 @@ def run_iter(
     per-point loop below reveals it for free and stops at the first
     unpaid point — exactly like a sequential run.
 
-    ``state_every=N`` attaches a full :meth:`~EstimationDriver.to_state`
-    snapshot to every N-th checkpoint (state capture copies the whole
-    observation history, so per-sample capture on long runs is O(n²) —
-    pick a cadence).  ``queries_start`` overrides where query accounting
+    Between two yields, :meth:`~EstimationDriver.to_state` is a valid
+    pause snapshot.  ``queries_start`` overrides where query accounting
     begins; a resumed run passes the original run's start so budgets and
     traces continue seamlessly.
     """
@@ -137,10 +133,10 @@ def run_iter(
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     start = est.interface.queries_used if queries_start is None else queries_start
-    return _drive(est, until, batch_size, state_every, start)
+    return _drive(est, until, batch_size, start)
 
 
-def _drive(est, until, batch_size, state_every, start):
+def _drive(est, until, batch_size, start):
     stop = False
     # Sample points drawn (and, for batches, prefetched) but not yet
     # evaluated.  Kept on the estimator — not in a loop local — so a run
@@ -188,13 +184,10 @@ def _drive(est, until, batch_size, state_every, start):
             est._trace.append(
                 TracePoint(est.interface.queries_used - start, est.samples, est.estimate())
             )
-            state = None
-            if state_every is not None and est.samples % state_every == 0:
-                state = est.to_state(queries_start=start)
             # One checkpoint is yielded per completed sample; the counter
             # is bumped first so the yielded telemetry includes it.
             est._obs_checkpoints = getattr(est, "_obs_checkpoints", 0) + 1
-            cp = _checkpoint(est, start, state)
+            cp = _checkpoint(est, start)
             reg = _obs._active
             if reg is not None:
                 reg.inc("run_samples_total")
@@ -228,11 +221,6 @@ class EstimationDriver:
             return self._ratio.estimate()
         return self._stat.mean
 
-    def sample_once(self) -> tuple[float, float]:
-        """Draw one sample; returns its (numerator, denominator) pair."""
-        q = self.sampler.sample(self.rng)
-        return self._sample_at(q)
-
     # ------------------------------------------------------------------
     def _effective_batch_size(self, batch_size: int) -> int:
         """Hook: clamp the requested batch size to what is sound."""
@@ -259,7 +247,6 @@ class EstimationDriver:
         until: StoppingRule,
         *,
         batch_size: int = 1,
-        state_every: Optional[int] = None,
         queries_start: Optional[int] = None,
     ) -> Iterator[Checkpoint]:
         """Stream the run: one :class:`~repro.stats.Checkpoint` per sample."""
@@ -270,7 +257,6 @@ class EstimationDriver:
             self,
             until,
             self._effective_batch_size(batch_size),
-            state_every=state_every,
             queries_start=start,
         )
 
@@ -329,11 +315,11 @@ class EstimationDriver:
         """
         state = {
             "kind": self.kind,
-            # v4: the interface engine state may carry a "resilience"
-            # section — fault-stream position and retry tallies (v3
-            # added per-run telemetry, v2 the lazy-reveal prefetch and
-            # the LR oracle's own RNG stream).
-            "version": 4,
+            # v5: the answer cache and the history store query points,
+            # and resume recomputes the answers (v4 added the engine
+            # state's "resilience" section, v3 per-run telemetry, v2 the
+            # lazy-reveal prefetch and the LR oracle's own RNG stream).
+            "version": 5,
             "telemetry": _checkpoint(self, queries_start or 0).telemetry.to_dict(),
             "queries_start": queries_start,
             "rng": self.rng.bit_generator.state,
@@ -359,17 +345,18 @@ class EstimationDriver:
                 f"state is for a {state.get('kind')!r} driver, not {self.kind!r}"
             )
         version = state.get("version", 1)
-        if version != 4:
+        if version != 5:
             # v1 snapshots predate the lazy-reveal prefetch and the LR
             # oracle's own RNG stream, v2 ones the run telemetry, v3
-            # ones the resilience fault-stream position; resuming any
+            # ones the resilience fault-stream position, v4 ones store
+            # whole answers where v5 stores query points; resuming any
             # of them here would silently lose accounting (or diverge
             # from the original run — a resumed faulty connection would
             # restart its fault stream) instead of being bit-identical,
             # so refuse loudly.
             raise ValueError(
                 f"cannot resume a version-{version} snapshot with this release "
-                "(state format v4); rerun from the spec instead"
+                "(state format v5); rerun from the spec instead"
             )
         telemetry = RunTelemetry.from_dict(state.get("telemetry"))
         # Telemetry is derived accounting: only the checkpoint counter

@@ -41,6 +41,7 @@ import numpy as np
 
 from ..geometry import Disk, Point, distance
 from ..lbs import BudgetExhausted, KnnInterface, QueryAnswer
+from ..obs import registry as _obs
 
 __all__ = ["DiskLedger", "ObservationHistory", "SiteRanking", "SiteSet"]
 
@@ -360,37 +361,66 @@ class ObservationHistory:
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """Serializable snapshot: the answers in observation order.
+        """Serializable snapshot: the query points behind every answer.
 
-        Everything else the history holds (locations, attrs, known
-        disks, the exact-location cache) is a pure function of that
-        answer sequence, so :meth:`load_state_dict` rebuilds it by
-        replaying :meth:`record` — reproducing even the dict insertion
-        orders a resumed run's geometry code will iterate in.
+        One ``[key x, key y, answer x, answer y]`` row per cache entry,
+        in insertion order: the key is the requested point and the
+        answer point is the query point the answer was computed for —
+        they differ when the interface's snapped cache served a
+        neighbour's answer.  Answers are a pure function of the service
+        and their query point, and everything else the history holds
+        (locations, attrs, known disks) is a pure function of the
+        answers recorded, so :meth:`load_state_dict` rebuilds it all —
+        even the insertion orders a resumed run's geometry code will
+        iterate in.
 
-        Staged (paid-but-unrevealed) answers ride along separately —
-        keyed by the *requested* point, which can differ from the
-        answer's own query point when the interface's snapped cache
-        served a neighbour's answer — so a run paused mid-batch keeps
-        its prefetched answers even if the interface's LRU cache would
-        have evicted them.
+        Staged (paid-but-unrevealed) answers ride along as rows of the
+        same kind, so a run paused mid-batch keeps its prefetched
+        answers even if the interface's LRU cache would have evicted
+        them.
         """
         return {
-            "answers": [a.to_state() for a in self._cache.values()],
-            "staged": [[list(key), a.to_state()] for key, a in self._staged.items()],
+            "answers": [[x, y, a.query.x, a.query.y] for (x, y), a in self._cache.items()],
+            "staged": [[x, y, a.query.x, a.query.y] for (x, y), a in self._staged.items()],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore :meth:`state_dict` onto a fresh (empty) history."""
-        for entry in state["answers"]:
-            self.record(QueryAnswer.from_state(entry))
-        for key, entry in state.get("staged", []):
-            self._staged[(key[0], key[1])] = QueryAnswer.from_state(entry)
+        """Restore :meth:`state_dict` onto a fresh (empty) history.
+
+        Runs after the interface's own restore.  An answer comes from
+        the interface's cache only when it was computed for exactly the
+        row's answer point; the rest (evicted entries, a snapped
+        neighbour's answer, a disabled cache) are recomputed in one
+        batch with instrumentation paused — no budget, no cache
+        counters, no fault draw.  The rows are then replayed in order:
+        each row whose key an earlier row has not already inserted is
+        cached and recorded, exactly as :meth:`query` did.
+        """
+        rows, staged = state["answers"], state.get("staged", [])
+        answers: dict[tuple[float, float], Optional[QueryAnswer]] = {}
+        missing: list[Point] = []
+        for _x, _y, ax, ay in rows + staged:
+            if (ax, ay) in answers:
+                continue
+            point = Point(ax, ay)
+            answer = self.interface.cached_answer(point)
+            if answer is None or answer.query != point:
+                answer = None
+                missing.append(point)
+            answers[(ax, ay)] = answer
+        if missing:
+            with _obs.paused():
+                for point, answer in zip(missing, self.interface._answer_batch(missing)):
+                    answers[(point.x, point.y)] = answer
+        for x, y, ax, ay in rows:
+            if (x, y) not in self._cache:
+                answer = answers[(ax, ay)]
+                self._cache[(x, y)] = answer
+                self.record(answer)
+        for x, y, ax, ay in staged:
+            self._staged[(x, y)] = answers[(ax, ay)]
 
     # ------------------------------------------------------------------
-    def cached_answers(self) -> Iterable[QueryAnswer]:
-        return self._cache.values()
-
     def reset_sample(self) -> None:
         """Forget everything learned (used between samples when history
         is off).  Staged answers survive: they are paid-for service

@@ -117,20 +117,6 @@ class LevelRegion:
                 seen.setdefault(key, v)
         return list(seen.values())
 
-    def all_vertices(self) -> list[Point]:
-        """Deduplicated vertices of every piece (boundary and interior)."""
-        quantum = _VERTEX_GRID
-        for poly in self.pieces.values():
-            for v in poly.vertices:
-                quantum = max(quantum, _VERTEX_GRID * max(abs(v.x), abs(v.y)))
-        seen: dict[tuple[int, int], Point] = {}
-        for poly in self.pieces.values():
-            for v in poly.vertices:
-                key = (round(v.x / quantum), round(v.y / quantum))
-                seen.setdefault(key, v)
-        return list(seen.values())
-
-    # ------------------------------------------------------------------
     def sample(self, rng) -> Point:
         """Uniform random point in the region (piece chosen by area)."""
         items = [(s, p) for s, p in self.pieces.items() if not p.is_empty()]

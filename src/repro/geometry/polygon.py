@@ -214,12 +214,6 @@ class ConvexPolygon:
                 break
         return sample_triangle(chosen, rng)
 
-    def interior_point(self) -> Point:
-        """A point strictly inside (the centroid for convex polygons)."""
-        if self.is_empty():
-            raise ValueError("empty polygon has no interior point")
-        return self.centroid()
-
 
 def sample_triangle(tri: tuple[Point, Point, Point], rng) -> Point:
     """Uniform point in a triangle via the sqrt warp."""

@@ -322,10 +322,6 @@ class SpatialDatabase:
     def column_names(self) -> list[str]:
         return list(self._columns)
 
-    def location_of(self, tid) -> Point:
-        i = self._pos(tid)
-        return Point(float(self._xy[i, 0]), float(self._xy[i, 1]))
-
     def lazy_locations(self) -> Mapping[int, Point]:
         """A read-only ``{tid: Point}`` mapping view over the columns
         (compares equal to the :meth:`locations` dict, costs nothing to

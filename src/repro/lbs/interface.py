@@ -348,14 +348,16 @@ class KnnInterface:
     def engine_state(self) -> dict:
         """Serializable snapshot of the budget counter and answer cache.
 
-        Together with an estimator's own state this is everything needed
-        to resume a paused run bit-identically: restoring the cache (in
-        LRU order) keeps future cache hits — and therefore the query
-        accounting — exactly as they would have been uninterrupted.
+        The cache is stored as the query points of its answers, in LRU
+        order: an answer is a pure function of the service and its query
+        point, so :meth:`restore_engine_state` recomputes the answers
+        instead of reading them back.  Restoring the cache in LRU order
+        keeps future cache hits — and therefore the query accounting —
+        exactly as they would have been uninterrupted.
         """
         return {
             "budget_used": self.budget.used,
-            "cache": [a.to_state() for a in self._cache.entries()],
+            "cache": [[a.query.x, a.query.y] for a in self._cache.entries()],
             "cache_hits": self._cache.hits,
             "cache_misses": self._cache.misses,
         }
@@ -363,10 +365,14 @@ class KnnInterface:
     def restore_engine_state(self, state: dict) -> None:
         """Restore :meth:`engine_state` onto a freshly built interface.
 
+        The cached answers are recomputed in one :meth:`_answer_batch`
+        call with instrumentation paused: the restore spends no budget,
+        touches no cache counter and counts nothing in the registry.
+
         A snapshot missing the required keys (one written by an
         incompatible release) is rejected loudly, like the driver's
-        state-v2 ``load_state``, instead of dying on a bare ``KeyError``
-        halfway through the restore.
+        ``load_state``, instead of dying on a bare ``KeyError`` halfway
+        through the restore.
         """
         missing = [key for key in ("budget_used", "cache") if key not in state]
         if missing:
@@ -379,9 +385,12 @@ class KnnInterface:
             )
         self.budget.used = state["budget_used"]
         self._cache.clear()
-        for entry in state["cache"]:
-            answer = QueryAnswer.from_state(entry)
-            self._cache.put(self._cache.key(answer.query.x, answer.query.y), answer)
+        points = [Point(x, y) for x, y in state["cache"]]
+        if points:
+            with _obs.paused():
+                answers = self._answer_batch(points)
+            for answer in answers:
+                self._cache.put(self._cache.key(answer.query.x, answer.query.y), answer)
         self._cache.hits = state.get("cache_hits", 0)
         self._cache.misses = state.get("cache_misses", 0)
 

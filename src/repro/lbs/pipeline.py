@@ -54,27 +54,6 @@ class ReturnedTuple:
     location: Optional[Point] = None
     distance: Optional[float] = None
 
-    def to_state(self) -> dict:
-        """JSON-serializable form (attrs must hold JSON-safe values)."""
-        return {
-            "rank": self.rank,
-            "tid": self.tid,
-            "attrs": dict(self.attrs),
-            "loc": [self.location.x, self.location.y] if self.location is not None else None,
-            "dist": self.distance,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ReturnedTuple":
-        loc = state["loc"]
-        return cls(
-            rank=state["rank"],
-            tid=state["tid"],
-            attrs=dict(state["attrs"]),
-            location=Point(loc[0], loc[1]) if loc is not None else None,
-            distance=state["dist"],
-        )
-
 
 @dataclass(frozen=True)
 class QueryAnswer:
@@ -119,20 +98,6 @@ class QueryAnswer:
         if ra is None:
             return False
         return rb is None or ra < rb
-
-    def to_state(self) -> dict:
-        """JSON-serializable form; floats round-trip exactly."""
-        return {
-            "q": [self.query.x, self.query.y],
-            "results": [r.to_state() for r in self.results],
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "QueryAnswer":
-        return cls(
-            Point(state["q"][0], state["q"][1]),
-            tuple(ReturnedTuple.from_state(r) for r in state["results"]),
-        )
 
 
 def truncate_ranked(ranked: Sequence[Ranked], max_radius: Optional[float]) -> Sequence[Ranked]:

@@ -190,7 +190,7 @@ def _execute_run(world, positions, indexes, run_index, spec_json, until,
         driver.load_state(state["driver"])
         queries_start = state["driver"].get("queries_start") or 0
     run = SessionRun(spec, driver, until, batch_size=spec.batch_size,
-                     state_every=None, queries_start=queries_start)
+                     queries_start=queries_start)
     for cp in run:
         hook = _test_checkpoint_hook
         if hook is not None:

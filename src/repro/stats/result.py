@@ -46,10 +46,7 @@ class Checkpoint:
     ``queries`` counts interface queries since the run started; ``ci`` is
     the 95 % normal-approximation interval of the running estimate and
     ``sem`` its standard error (``inf`` below two samples), so stopping
-    rules can derive intervals at other levels.  ``state``, when
-    captured (``state_every``), is the full serializable estimator state
-    at this point — feed it to ``load_state``/``Session.resume`` to
-    continue the run bit-identically.
+    rules can derive intervals at other levels.
     """
 
     queries: int
@@ -57,7 +54,6 @@ class Checkpoint:
     estimate: float
     ci: tuple[float, float]
     sem: float
-    state: Optional[dict] = None
     #: The run's :class:`~repro.obs.RunTelemetry` at this step — derived
     #: accounting only, never fed back into the estimate.
     telemetry: Optional[RunTelemetry] = None

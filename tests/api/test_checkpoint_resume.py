@@ -149,21 +149,6 @@ class TestSessionRoundTrips:
         resumed = Session.resume(small_db, state)  # no until= passed
         assert resumed.run().samples == 10
 
-    def test_checkpoint_state_every(self, small_db):
-        session = Session(small_db).lr(k=5).count().seed(0)
-        states = [
-            cp.state
-            for cp in session.start(MaxSamples(9), state_every=3)
-        ]
-        assert [s is not None for s in states] == [
-            False, False, True, False, False, True, False, False, True
-        ]
-        # An embedded snapshot resumes just like run.to_state().
-        mid = states[5]
-        est = session.build()
-        est.load_state(mid)
-        assert est.samples == 6
-
     def test_result_valid_at_pause(self, small_db):
         run = Session(small_db).lr(k=5).count().seed(0).start(MaxSamples(20))
         for cp in run:

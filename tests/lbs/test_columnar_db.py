@@ -203,14 +203,14 @@ class TestFromColumns:
             answers_a = api_a.query_batch(pts)
             answers_b = [api_b.query(p) for p in pts]
             for qa, qb in zip(answers_a, answers_b):
-                assert qa.to_state() == qb.to_state()
+                assert qa == qb
 
     def test_filtered_view_shares_budget_and_matches(self):
         db_cols, db_rows = self.make_pair()
         va = LrLbsInterface(db_cols, k=3).filtered(AttrEquals("cat", "b"))
         vb = LrLbsInterface(db_rows, k=3).filtered(AttrEquals("cat", "b"))
         p = Point(5.0, 5.0)
-        assert va.query(p).to_state() == vb.query(p).to_state()
+        assert va.query(p) == vb.query(p)
 
     def test_tid_lookup_keeps_dict_key_semantics(self):
         # The old store was a dict keyed by tid: 2.0 found tuple 2

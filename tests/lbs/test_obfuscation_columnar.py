@@ -83,9 +83,9 @@ def assert_same_answers(api, ref_api, pts):
     batch = api.query_batch(pts)
     ref_scalar = [ref_api.query(p) for p in pts]
     for a, b in zip(batch, ref_scalar):
-        assert a.to_state() == b.to_state()
+        assert a == b
     for p, b in zip(pts, ref_scalar):
-        assert api.query(p).to_state() == b.to_state()
+        assert api.query(p) == b
 
 
 def first_static_attr(db):
@@ -176,7 +176,7 @@ class TestJitterEdgeCases:
         api = LrLbsInterface(db, k=3, obfuscation=m)
         plain = LrLbsInterface(db, k=3)
         p = Point(50.0, 50.0)
-        assert api.query(p).to_state() == plain.query(p).to_state()
+        assert api.query(p) == plain.query(p)
 
     def test_sigma_zero_is_identity_jitter(self):
         db = make_db(50)
@@ -342,4 +342,4 @@ class TestInterfacePlumbing:
             {"budget_used": good["budget_used"], "cache": good["cache"]}
         )
         assert fresh.queries_used == api.queries_used
-        assert fresh.query(Point(5.0, 5.0)).to_state() == api.query(Point(5.0, 5.0)).to_state()
+        assert fresh.query(Point(5.0, 5.0)) == api.query(Point(5.0, 5.0))

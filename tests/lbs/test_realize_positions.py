@@ -86,4 +86,4 @@ def test_interface_ranks_with_realized_positions(cls):
     rng = np.random.default_rng(6)
     for qx, qy in rng.random((15, 2)) * 100:
         q = Point(float(qx), float(qy))
-        assert api.query(q).to_state() == ref_api.query(q).to_state()
+        assert api.query(q) == ref_api.query(q)

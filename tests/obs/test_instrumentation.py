@@ -165,7 +165,7 @@ class TestDriverTelemetry:
             if i == 7:
                 break
         state = json.loads(json.dumps(est.to_state(queries_start=0)))
-        assert state["version"] == 4
+        assert state["version"] == 5
         assert state["telemetry"]["samples"] == 8
         assert state["telemetry"]["checkpoints"] == 8
 

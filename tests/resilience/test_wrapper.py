@@ -204,7 +204,7 @@ class TestSessionIntegration:
             if i == 11:
                 break
         state = json.loads(json.dumps(run.to_state()))
-        assert state["driver"]["version"] == 4
+        assert state["driver"]["version"] == 5
         assert "resilience" in state["driver"]["interface"]
         resumed = Session.resume(None, state).run()
         assert resumed.estimate == plain.estimate
