@@ -55,6 +55,14 @@ def test_mode_matches_scalar_run(name):
         assert cell[key] == scalar[key]
 
 
+@pytest.mark.parametrize("name", [n for n in cell_names() if n.endswith("/resume")])
+def test_resume_state_matches_scalar(name):
+    """A paused-and-resumed run ends in the very state of the run that
+    never paused, not just at the same estimate."""
+    scalar = GOLDEN[name.rsplit("/", 1)[0] + "/scalar"]
+    assert GOLDEN[name]["state_sha256"] == scalar["state_sha256"]
+
+
 def test_moved_fields_names_each_changed_field():
     old = {"a": {"estimate": "0x1p+0", "queries": 5}, "b": {"queries": 1}}
     new = {"a": {"estimate": "0x1p+1", "queries": 5}, "c": {"queries": 2}}
