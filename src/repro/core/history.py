@@ -397,28 +397,23 @@ class ObservationHistory:
         cached and recorded, exactly as :meth:`query` did.
         """
         rows, staged = state["answers"], state.get("staged", [])
-        answers: dict[tuple[float, float], Optional[QueryAnswer]] = {}
+        answers: dict[Point, QueryAnswer] = {}
         missing: list[Point] = []
-        for _x, _y, ax, ay in rows + staged:
-            if (ax, ay) in answers:
-                continue
-            point = Point(ax, ay)
+        for point in dict.fromkeys(Point(ax, ay) for _x, _y, ax, ay in rows + staged):
             answer = self.interface.cached_answer(point)
-            if answer is None or answer.query != point:
-                answer = None
+            if answer is not None and answer.query == point:
+                answers[point] = answer
+            else:
                 missing.append(point)
-            answers[(ax, ay)] = answer
-        if missing:
-            with _obs.paused():
-                for point, answer in zip(missing, self.interface._answer_batch(missing)):
-                    answers[(point.x, point.y)] = answer
+        with _obs.paused():
+            answers.update(zip(missing, self.interface._answer_batch(missing)))
         for x, y, ax, ay in rows:
             if (x, y) not in self._cache:
-                answer = answers[(ax, ay)]
+                answer = answers[Point(ax, ay)]
                 self._cache[(x, y)] = answer
                 self.record(answer)
         for x, y, ax, ay in staged:
-            self._staged[(x, y)] = answers[(ax, ay)]
+            self._staged[(x, y)] = answers[Point(ax, ay)]
 
     # ------------------------------------------------------------------
     def reset_sample(self) -> None:

@@ -385,12 +385,10 @@ class KnnInterface:
             )
         self.budget.used = state["budget_used"]
         self._cache.clear()
-        points = [Point(x, y) for x, y in state["cache"]]
-        if points:
-            with _obs.paused():
-                answers = self._answer_batch(points)
-            for answer in answers:
-                self._cache.put(self._cache.key(answer.query.x, answer.query.y), answer)
+        with _obs.paused():
+            answers = self._answer_batch([Point(x, y) for x, y in state["cache"]])
+        for answer in answers:
+            self._cache.put(self._cache.key(answer.query.x, answer.query.y), answer)
         self._cache.hits = state.get("cache_hits", 0)
         self._cache.misses = state.get("cache_misses", 0)
 

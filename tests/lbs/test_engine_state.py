@@ -117,10 +117,3 @@ def test_restore_counts_no_service_traffic():
                  "interface_cache_hits_total", "interface_cache_misses_total"):
         assert reg.total(name) == 0.0
 
-
-def test_restore_of_an_empty_cache():
-    db = make_db()
-    api = SERVICES["lr"](db)
-    fresh = restored(SERVICES["lr"], db, api)
-    assert len(fresh._cache) == 0
-    assert fresh.budget.used == 0
