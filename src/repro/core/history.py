@@ -26,8 +26,6 @@ The split makes a batched run's knowledge at every sample identical to
 the unbatched run's — which is what lets the LR adaptive-h rule (whose
 λ_h signal may only see *past* answers) prefetch batches soundly, and
 what makes batched estimates bit-identical to sequential ones.
-:meth:`query_batch` remains the absorb-immediately form for callers that
-want a batch's knowledge up front.
 """
 
 from __future__ import annotations
@@ -295,39 +293,6 @@ class ObservationHistory:
                 self._staged[(p.x, p.y)] = answer
         if paid < len(pts):
             raise BudgetExhausted(self.interface.budget.limit)
-
-    def query_batch(self, points: Iterable[Point]) -> list[QueryAnswer]:
-        """Issue (or replay) a batch of queries through one engine call.
-
-        Unseen points go to :meth:`KnnInterface.query_batch` together —
-        the vectorized hot path — and every returned answer is absorbed.
-        On :class:`~repro.lbs.BudgetExhausted` the affordable prefix has
-        already been paid and cached by the interface, so re-querying
-        those points later is free; the exception still propagates, as a
-        sequential loop's would.
-        """
-        pts = [Point(*p) for p in points]
-        missing = []
-        seen = set()
-        for p in pts:
-            key = (p.x, p.y)
-            if key in self._staged:
-                # Reveal exactly like query(): cache under the requested
-                # key too (the staged answer may carry a snapped
-                # neighbour's query point), so the point never re-enters
-                # the miss list and never re-records.
-                answer = self._staged.pop(key)
-                self._cache[key] = answer
-                self.record(answer)
-            if key not in self._cache and key not in seen:
-                seen.add(key)
-                missing.append(p)
-        if missing:
-            answers = self.interface.query_batch(missing)
-            for p, answer in zip(missing, answers):
-                self._cache[(p.x, p.y)] = answer
-                self.record(answer)
-        return [self._cache[(p.x, p.y)] for p in pts]
 
     def record(self, answer: QueryAnswer) -> None:
         """Absorb an answer obtained elsewhere."""

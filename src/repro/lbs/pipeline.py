@@ -169,15 +169,6 @@ class AttributeProjection:
             )
         return QueryAnswer(point, results)
 
-    def result(self, rank: int, dist: float, tid: int) -> ReturnedTuple:
-        attrs = self.database.gather_attrs([tid], self.visible_attrs)[0]
-        if self.returns_location:
-            return ReturnedTuple(
-                rank=rank, tid=tid, attrs=attrs,
-                location=self.locations[tid], distance=dist,
-            )
-        return ReturnedTuple(rank=rank, tid=tid, attrs=attrs)
-
     def report(self, point: Point, ranked: Sequence[Ranked]) -> QueryAnswer:
         attrs_list = self.database.gather_attrs(
             [tid for _d, tid in ranked], self.visible_attrs

@@ -140,26 +140,6 @@ class TestObservationHistory:
         with pytest.raises(BudgetExhausted):
             hist.query(pts[2])
 
-    def test_query_batch_reveals_staged_snapped_point_once(self, small_db):
-        # Revealing a staged answer through query_batch must behave like
-        # query(): cached under the requested key, recorded exactly once
-        # — even when the staged answer carries a snapped neighbour's
-        # query point.
-        from repro.lbs import QueryEngineConfig
-
-        api = LrLbsInterface(
-            small_db, k=3, engine=QueryEngineConfig(snap_resolution=1.0)
-        )
-        hist = ObservationHistory(api)
-        hist.query(Point(10.0, 10.0))
-        hist.prefetch([Point(10.2, 10.1)])  # snapped hit: staged, free
-        hist.query_batch([Point(10.2, 10.1), Point(10.2, 10.1)])
-        after_reveal = hist.disks.count  # reveal records (at most) once
-        hist.query_batch([Point(10.2, 10.1)])
-        hist.query_batch([Point(10.2, 10.1)])
-        assert hist.disks.count == after_reveal  # repeats never re-record
-        assert api.queries_used == 1  # and never re-pay
-
     def test_staged_snapped_answer_survives_state_round_trip(self, small_db):
         # Staged answers are keyed by the *requested* point; the state
         # round trip must preserve that key even when it differs from
