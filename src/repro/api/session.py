@@ -283,8 +283,7 @@ class Session:
 
     def start(self, until: StoppingRule) -> "SessionRun":
         """Begin a streaming run; iterate the returned :class:`SessionRun`."""
-        return SessionRun(self.spec, self.build(), until,
-                          batch_size=self.spec.batch_size, queries_start=0)
+        return SessionRun(self.spec, self.build(), until)
 
     def run(self, until: StoppingRule) -> EstimationResult:
         """Build, run to completion, and return the result."""
@@ -352,12 +351,10 @@ class Session:
                 raise ValueError("state carries no stopping rule; pass until=")
             until = stopping_rule_from_dict(rule)
         session = Session(world, spec)
-        spec = session.spec  # may have re-embedded the override's spec
         est = session.build()
         est.load_state(state["driver"])
-        start = state["driver"].get("queries_start") or 0
-        return SessionRun(spec, est, until, batch_size=spec.batch_size,
-                          queries_start=start)
+        # session.spec may have re-embedded the override's spec.
+        return SessionRun(session.spec, est, until)
 
 
 class SessionRun:
@@ -370,14 +367,13 @@ class SessionRun:
     """
 
     def __init__(self, spec: EstimationSpec, est: EstimationDriver,
-                 until: StoppingRule, *, batch_size: int, queries_start: int):
+                 until: StoppingRule):
         self.spec = spec
         self.estimator = est
         self.until = until
-        self._start = queries_start
-        self._iter = est.run_iter(
-            until, batch_size=batch_size, queries_start=queries_start,
-        )
+        self._iter = est.run_iter(until, batch_size=spec.batch_size)
+        # A resumed driver starts from the origin its state recorded.
+        self._start = est.queries_start
         self.last: Optional[Checkpoint] = None
 
     def __iter__(self) -> Iterator[Checkpoint]:

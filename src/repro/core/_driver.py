@@ -226,33 +226,27 @@ class EstimationDriver:
         """Hook: clamp the requested batch size to what is sound."""
         return batch_size
 
-    def _consume_resume_start(self, queries_start: Optional[int]) -> int:
-        """Where query accounting starts for the next run.
-
-        Priority: an explicit override, then the start recorded by
-        :meth:`load_state` (consumed, so a *later* fresh ``run()`` on
-        the same estimator counts from its own beginning, as always),
-        then the current budget position.
-        """
-        if queries_start is not None:
-            return queries_start
-        resumed = getattr(self, "_resume_queries_start", None)
-        if resumed is not None:
-            self._resume_queries_start = None
-            return resumed
-        return self.interface.queries_used
-
     def run_iter(
         self,
         until: StoppingRule,
         *,
         batch_size: int = 1,
-        queries_start: Optional[int] = None,
     ) -> Iterator[Checkpoint]:
-        """Stream the run: one :class:`~repro.stats.Checkpoint` per sample."""
+        """Stream the run: one :class:`~repro.stats.Checkpoint` per sample.
+
+        Query accounting starts at the origin recorded by
+        :meth:`load_state` (consumed, so a *later* fresh run on the same
+        estimator counts from its own beginning, as always), else at the
+        current budget position.  The start picked is kept as
+        ``queries_start``.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        start = self._consume_resume_start(queries_start)
+        start = getattr(self, "_resume_queries_start", None)
+        if start is None:
+            start = self.interface.queries_used
+        self._resume_queries_start = None
+        self.queries_start = start
         return run_iter(
             self,
             until,
@@ -292,12 +286,9 @@ class EstimationDriver:
                 "run() needs a stopping rule, e.g. run(MaxQueries(5000)) or "
                 "run(MaxQueries(5000) | MaxSamples(100))"
             )
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        start = self._consume_resume_start(None)
-        for _ in self.run_iter(until, batch_size=batch_size, queries_start=start):
+        for _ in self.run_iter(until, batch_size=batch_size):
             pass
-        return build_result(self, start)
+        return build_result(self, self.queries_start)
 
     def result(self, queries_start: int = 0) -> EstimationResult:
         """The result of everything accumulated so far."""

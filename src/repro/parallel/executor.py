@@ -27,8 +27,9 @@ What is shared, and why it is safe:
   deterministic, so a shared index answers bit-identically to a per-run
   one.
 
-Workers stream a :class:`RunProgress` event per checkpoint over their
-result pipes, and optionally persist each run's
+Each worker talks to the coordinator over one duplex pipe: tasks go
+down it, and a :class:`RunProgress` event per checkpoint comes back up
+it.  Workers optionally persist each run's
 :meth:`~repro.api.SessionRun.to_state` JSON (atomic replace) every
 ``state_every`` samples — a run interrupted mid-stream resumes from its
 checkpoint file via :meth:`repro.api.Session.resume` like any
@@ -42,12 +43,14 @@ Failure handling (``retries`` / ``run_deadline``):
   settles as a failure immediately.
 * A worker that *dies* (crash, OOM kill, ``os._exit``) or *hangs*
   (no checkpoint for ``run_deadline`` seconds — the heartbeat watchdog
-  on the progress stream) takes only its in-flight run with it: the
+  on the progress stream) takes only its in-flight run with it.  The
+  coordinator sees a death as end-of-file on that worker's pipe.  The
   run is re-enqueued up to ``retries`` times, resuming from its latest
-  per-run checkpoint file when one exists (bit-identical to never
-  crashing — resume is), and a replacement worker is spawned while the
-  respawn budget (``workers * (retries + 1)`` process starts) lasts,
-  degrading gracefully to a smaller pool afterwards.
+  per-run checkpoint file when that file records the same spec and
+  stopping rule (bit-identical to never crashing — resume is), and a
+  replacement worker is spawned while the respawn budget
+  (``workers * (retries + 1)`` process starts) lasts, degrading
+  gracefully to a smaller pool afterwards.
 * Only after every run is accounted for is :class:`ParallelRunError`
   raised, carrying the failures plus all completed results (completed
   runs' checkpoint files stay on disk for manual
@@ -139,21 +142,30 @@ def _write_json_atomic(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _load_resume_state(state_path: Optional[str], attempt: int) -> Optional[dict]:
+def _load_resume_state(state_path: Optional[str], attempt: int, spec_json: str,
+                       until: StoppingRule) -> Optional[dict]:
     """The checkpoint a retried run resumes from, or None to start fresh.
 
-    Only retry attempts resume; a torn or unreadable file (the crash may
-    have raced the atomic replace's temp file, never the published one,
-    but be defensive) falls back to a fresh start — correct either way,
-    since resume is bit-identical to never pausing.
+    Only retry attempts resume, and only from a file that records this
+    run's spec and stopping rule: an attempt that died before its first
+    checkpoint leaves behind whatever an earlier call wrote under the
+    same name.  That file, a torn or unreadable one (the crash may have
+    raced the atomic replace's temp file, never the published one, but
+    be defensive) and a custom rule that cannot be compared all fall
+    back to a fresh start — correct either way, since resume is
+    bit-identical to never pausing.
     """
-    if attempt == 0 or state_path is None or not os.path.exists(state_path):
+    if attempt == 0 or state_path is None:
         return None
     try:
         with open(state_path, encoding="utf-8") as f:
-            return json.load(f)
+            state = json.load(f)
+        rule = until.to_dict()
     except (OSError, ValueError):
         return None
+    if json.dumps(state["spec"], sort_keys=True) != spec_json or state["until"] != rule:
+        return None
+    return state
 
 
 def _execute_run(world, positions, indexes, run_index, spec_json, until,
@@ -180,17 +192,12 @@ def _execute_run(world, positions, indexes, run_index, spec_json, until,
     if checkpoint_dir is not None:
         state_path = os.path.join(checkpoint_dir, f"run-{run_index:03d}.state.json")
     driver = Session(world, spec).build(effective_coords=eff, index=index)
-    queries_start = 0
-    state = _load_resume_state(state_path, attempt)
+    state = _load_resume_state(state_path, attempt, spec_json, until)
     if state is not None:
-        # Session.resume's exact recipe, on a driver built with the
-        # worker's reused positions and index: restore the learned half
-        # onto the configured half and keep counting from the original
-        # origin.
+        # Session.resume's recipe, on a driver built with the worker's
+        # reused positions and index.
         driver.load_state(state["driver"])
-        queries_start = state["driver"].get("queries_start") or 0
-    run = SessionRun(spec, driver, until, batch_size=spec.batch_size,
-                     queries_start=queries_start)
+    run = SessionRun(spec, driver, until)
     for cp in run:
         hook = _test_checkpoint_hook
         if hook is not None:
@@ -207,15 +214,14 @@ def _execute_run(world, positions, indexes, run_index, spec_json, until,
     return run.result()
 
 
-def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
-                 collect):
+def _worker_main(descriptor, conn, checkpoint_dir, state_every, collect):
     shared = SharedWorld.attach(descriptor)
     try:
         world = shared.world()  # one attach + database per worker
         positions: dict = {}  # ObfuscationModel -> realized (N, 2) positions
         indexes: dict = {}    # (model or None, backend, auto_brute_max) -> index
         while True:
-            task = task_q.get()
+            task = conn.recv()
             if task is None:
                 break
             run_index, spec_json, until, attempt = task
@@ -230,14 +236,14 @@ def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
                 with scope:
                     result = _execute_run(
                         world, positions, indexes, run_index, spec_json,
-                        until, results, checkpoint_dir, state_every, attempt,
+                        until, conn, checkpoint_dir, state_every, attempt,
                     )
                 snap = reg.to_dict() if reg is not None else None
-                results.send(("done", run_index, attempt, result, snap))
+                conn.send(("done", run_index, attempt, result, snap))
             except Exception:
                 snap = reg.to_dict() if reg is not None else None
-                results.send(("error", run_index, attempt, spec_json,
-                               traceback.format_exc(), snap))
+                conn.send(("error", run_index, attempt, spec_json,
+                           traceback.format_exc(), snap))
     finally:
         shared.close()
 
@@ -248,26 +254,23 @@ def _worker_main(descriptor, task_q, results, checkpoint_dir, state_every,
 class _Worker:
     """Parent-side handle of one pool process.
 
-    Each worker owns a private task queue, so the coordinator always
-    knows exactly which run a dead worker was holding — there is no
-    window where a task has been taken off a shared queue but not yet
-    announced.
-
-    Each worker also owns a private result pipe, which it writes
-    synchronously from its main thread.  A worker that dies mid-write
-    can tear only its own last message.  A queue shared by all workers
-    would be written by each worker's feeder thread under one
-    cross-process lock, and a worker killed while its feeder held that
-    lock would block every other worker's messages for good.
+    Each worker owns one duplex pipe, which both ends write
+    synchronously: tasks go down it one at a time, and the worker's
+    progress, done and error messages come back up it.  So the
+    coordinator always knows which run a dead worker was holding and
+    which worker sent each message.  Only the worker holds the far end,
+    so its death reads as end-of-file here, and a worker that dies
+    mid-write can tear only its own last message.  A queue shared by
+    all workers would be written by each worker's feeder thread under
+    one cross-process lock, and a worker killed while its feeder held
+    that lock would block every other worker's messages for good.
     """
 
-    __slots__ = ("proc", "task_q", "results", "run_index", "attempt",
-                 "last_activity")
+    __slots__ = ("proc", "conn", "run_index", "attempt", "last_activity")
 
-    def __init__(self, proc, task_q, results):
+    def __init__(self, proc, conn):
         self.proc = proc
-        self.task_q = task_q
-        self.results = results  # read end of the worker's result pipe
+        self.conn = conn
         self.run_index: Optional[int] = None  # None = idle
         self.attempt = 0
         self.last_activity = time.monotonic()
@@ -426,127 +429,110 @@ def run_many_parallel(
     shared = SharedWorld.export(world)
     descriptor = shared.descriptor()
 
-    pool: list[_Worker] = []          # live (or not-yet-reaped) workers
-    all_workers: list[_Worker] = []   # every worker ever spawned
+    pool: list[_Worker] = []  # live workers; a lost one is reaped at once
     spawned = 0
     max_spawns = workers * (retries + 1)
     pending: deque = deque((i, 0) for i in range(len(specs)))
     results: list[Optional[EstimationResult]] = [None] * len(specs)
     failures: list = []
-    settled = 0
     settled_runs: set[int] = set()
 
     def spawn_worker() -> _Worker:
         nonlocal spawned
-        task_q = ctx.Queue()
-        reader, writer = ctx.Pipe(duplex=False)
+        conn, child_conn = ctx.Pipe()
         p = ctx.Process(
             target=_worker_main,
-            args=(descriptor, task_q, writer, checkpoint_dir,
-                  state_every, collect),
+            args=(descriptor, child_conn, checkpoint_dir, state_every, collect),
             daemon=True,
         )
         p.start()
-        # Only the worker may hold the write end: its death then reads
-        # as end-of-file here, and later forks do not inherit it.
-        writer.close()
+        # Only the worker may hold the far end: its death then reads as
+        # end-of-file here, and later forks do not inherit it.
+        child_conn.close()
         spawned += 1
-        w = _Worker(p, task_q, reader)
-        all_workers.append(w)
+        w = _Worker(p, conn)
         pool.append(w)
         return w
 
-    def settle_failure(run_index: int, attempt: int, reason: str) -> None:
-        nonlocal settled
+    def settle_failure(run_index: int, reason: str) -> None:
         failures.append((run_index, spec_jsons[run_index], reason))
-        settled += 1
         settled_runs.add(run_index)
         pinc("parallel_runs_total", {"outcome": "crashed"})
 
-    def drain(w: _Worker) -> None:
-        """Absorb every complete message waiting on ``w``'s pipe."""
-        try:
-            while w.results.poll():
-                absorb(w.results.recv())
-        except (EOFError, OSError):
-            pass  # the worker is gone; a torn last message is dropped
+    def drain(w: _Worker) -> bool:
+        """Absorb every complete message waiting on ``w``'s pipe; False
+        once the pipe is at end-of-file, i.e. the worker is gone (a torn
+        last message is dropped).  An error raised by ``on_progress``
+        propagates: only the pipe's own errors mean the worker is gone."""
+        while True:
+            try:
+                if not w.conn.poll():
+                    return True
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                return False
+            absorb(w, msg)
 
-    def handle_lost_worker(w: _Worker, reason: str, exitcode) -> None:
-        """A dead (already-reaped) or killed worker leaves the pool; its
-        in-flight run is re-enqueued or settled.  What it sent before it
-        was lost counts first, so a run it completed is not retried."""
+    def lose(w: _Worker, reason: str) -> None:
+        """A dead or killed worker leaves the pool, reaped; its in-flight
+        run is re-enqueued or settled.  What it sent counts first, so a
+        run it completed is not retried."""
         drain(w)
+        w.proc.join()  # its end of the pipe is closed: it has exited
         pool.remove(w)
+        w.conn.close()
         if w.run_index is None:
             return
-        ri, attempt = w.run_index, w.attempt
-        w.run_index = None
         pinc("parallel_worker_deaths_total", {"reason": reason})
-        if attempt < retries:
+        if w.attempt < retries:
             # Highest priority: the recovered run is furthest along.
-            pending.appendleft((ri, attempt + 1))
+            pending.appendleft((w.run_index, w.attempt + 1))
         else:
             settle_failure(
-                ri, attempt,
-                f"worker process {reason} (exit code {exitcode}) on attempt "
-                f"{attempt + 1}/{retries + 1}; retries exhausted",
+                w.run_index,
+                f"worker process {reason} (exit code {w.proc.exitcode}) on "
+                f"attempt {w.attempt + 1}/{retries + 1}; retries exhausted",
             )
 
-    def absorb(msg) -> None:
-        nonlocal settled
+    def absorb(w: _Worker, msg) -> None:
         kind = msg[0]
         if kind == "progress":
             _kind, run_index, samples, queries, estimate = msg
-            for w in pool:
-                if w.run_index == run_index:
-                    w.last_activity = time.monotonic()
-                    break
+            w.last_activity = time.monotonic()
             if on_progress is not None:
                 on_progress(RunProgress(run_index, samples, queries, estimate))
             return
+        w.run_index = None  # idle again
+        run_index = msg[1]
+        if run_index in settled_runs:
+            # A lost worker's pipe is drained to end-of-file before its
+            # run is retried, so a second settlement is not expected; if
+            # one arrives, both are bit-identical — count one.
+            return
+        settled_runs.add(run_index)
         if kind == "done":
-            _kind, run_index, attempt, result, snap = msg
-            if run_index in settled_runs:
-                # A lost worker's pipe is drained before its run is
-                # retried, so a second completion is not expected; if
-                # one arrives, both are bit-identical — count one.
-                return
-            settled_runs.add(run_index)
+            _kind, _ri, attempt, result, snap = msg
             results[run_index] = result
-            settled += 1
             if parent_reg is not None and snap is not None:
                 parent_reg.merge(snap)
             pinc("parallel_runs_total", {"outcome": "ok"})
             if attempt > 0:
                 pinc("runs_recovered_total")
         elif kind == "error":
-            _kind, run_index, attempt, spec_json, tb, snap = msg
-            if run_index in settled_runs:
-                return
-            settled_runs.add(run_index)
+            _kind, _ri, _attempt, spec_json, tb, snap = msg
             failures.append((run_index, spec_json, tb))
-            settled += 1
             if parent_reg is not None and snap is not None:
                 parent_reg.merge(snap, extra_labels={"outcome": "failed"})
             pinc("parallel_runs_total", {"outcome": "error"})
         else:
             raise RuntimeError(f"unexpected worker message {msg!r}")
-        for w in pool:
-            if w.run_index == run_index:
-                w.run_index = None  # idle again
-                break
 
     try:
         for _ in range(min(workers, len(specs))):
             spawn_worker()
 
-        while settled < len(specs):
-            # 1) Reap crashed workers and recover their in-flight runs.
-            for w in list(pool):
-                if not w.proc.is_alive():
-                    w.proc.join()  # reap now; exitcode is final
-                    handle_lost_worker(w, "died", w.proc.exitcode)
-            # 2) Heartbeat watchdog: a busy worker silent past the
+        while len(settled_runs) < len(specs):
+            # 1) Heartbeat watchdog: a busy worker silent past the
             #    per-run deadline is hung — kill it and retry the run.
             if run_deadline is not None:
                 now = time.monotonic()
@@ -558,46 +544,53 @@ def run_many_parallel(
                         if w.proc.is_alive():
                             w.proc.kill()
                             w.proc.join()
-                        handle_lost_worker(w, "hung", w.proc.exitcode)
-            # 3) Keep the pool at strength while work and budget remain.
+                        lose(w, "hung")
+            # 2) Keep the pool at strength while work and budget remain.
             idle = [w for w in pool if w.run_index is None]
             while (pending and len(idle) < len(pending)
                    and len(pool) < workers and spawned < max_spawns):
                 idle.append(spawn_worker())
-            # 4) Dispatch pending runs to idle workers.
+            # 3) Dispatch pending runs to idle workers.  The send fails
+            #    only when the worker has died idle since its pipe was
+            #    last read; that counts as its death, run included.
             while pending and idle:
                 w = idle.pop()
                 ri, attempt = pending.popleft()
                 w.run_index, w.attempt = ri, attempt
                 w.last_activity = time.monotonic()
-                w.task_q.put((ri, spec_jsons[ri], untils[ri], attempt))
-            # 5) A non-empty backlog with no pool left and no budget to
+                try:
+                    w.conn.send((ri, spec_jsons[ri], untils[ri], attempt))
+                except OSError:
+                    lose(w, "died")
+            # 4) A non-empty backlog with no pool left and no budget to
             #    rebuild one can never settle — fail it out loudly
             #    rather than spinning forever.
             if pending and not pool and spawned >= max_spawns:
                 while pending:
-                    ri, attempt = pending.popleft()
+                    ri, _attempt = pending.popleft()
                     settle_failure(
-                        ri, attempt,
+                        ri,
                         f"respawn budget exhausted ({spawned} worker starts, "
                         f"limit {max_spawns}); run never got a worker",
                     )
                 continue
-            # 6) Drain results.  The wait times out only to loop back
-            #    into the liveness/watchdog checks above — a dead pool
-            #    cannot spin: step 1 recovers or settles its runs, steps
-            #    3/5 rebuild or fail out.
-            ready = mp_connection.wait([w.results for w in pool], timeout=0.25)
+            # 5) Drain results.  End-of-file on a pipe is its worker's
+            #    death.  The wait times out only so that the watchdog
+            #    above gets to run.
+            ready = mp_connection.wait([w.conn for w in pool], timeout=0.25)
             for w in list(pool):
-                if w.results in ready:
-                    drain(w)
-
-        for w in pool:
-            w.task_q.put(None)  # all runs settled: workers may exit
+                if w.conn in ready and not drain(w):
+                    lose(w, "died")
     finally:
-        _reap([w.proc for w in all_workers])
-        for w in all_workers:
-            w.results.close()
+        for w in pool:
+            # Every run settled, or the call is failing: workers may
+            # exit.  One that has died since its pipe was last read is
+            # reaped below all the same.
+            with contextlib.suppress(OSError):
+                w.conn.send(None)
+        _reap([w.proc for w in pool])
+        for w in pool:
+            w.conn.close()
         shared.destroy()
     if failures:
         raise ParallelRunError(failures, results)

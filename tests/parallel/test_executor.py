@@ -3,6 +3,7 @@
 import json
 import multiprocessing as mp
 import os
+import threading
 
 import pytest
 
@@ -163,6 +164,31 @@ class TestCheckpoints:
         assert set(by_run) == {0, 1, 2}
         for samples in by_run.values():
             assert samples == list(range(1, 9))  # every checkpoint, in order
+
+
+class TestCoordinator:
+    def test_fan_out_starts_no_thread_in_the_caller(self, lr_specs):
+        # Tasks and results share one pipe per worker, written
+        # synchronously at both ends: no queue feeder thread appears.
+        before = set(threading.enumerate())
+        during = set()
+        run_many_parallel(
+            lr_specs, MaxSamples(5), workers=2,
+            on_progress=lambda _e: during.update(threading.enumerate()),
+        )
+        assert during
+        assert sorted(t.name for t in during - before) == []
+
+    def test_progress_callback_error_reaches_the_caller(self, lr_specs):
+        # Only the pipe's own errors mean a worker is gone; an OSError
+        # raised by the caller's callback is the caller's to handle.
+        def closed_sink(_event):
+            raise BrokenPipeError("progress sink closed")
+
+        with pytest.raises(BrokenPipeError, match="sink closed"):
+            run_many_parallel(lr_specs, MaxSamples(5), workers=2,
+                              on_progress=closed_sink)
+        assert mp.active_children() == []
 
 
 class TestFailures:

@@ -181,6 +181,62 @@ class TestCrashRecovery:
 
 
 @needs_fork
+class TestResumeSource:
+    """A retry resumes from the checkpoint file its own run wrote, and
+    from no other file under the same name."""
+
+    def test_retry_resumes_from_its_own_checkpoint(
+        self, lr_specs, tmp_path, checkpoint_hook
+    ):
+        # A restart from sample 1 is bit-identical too, so only the
+        # progress stream shows where the retry began.
+        specs, until = lr_specs[:2], MaxSamples(12)
+
+        def crash_after_first_checkpoint(run_index, samples, attempt):
+            if run_index == 0 and samples == 8 and attempt == 0:
+                os._exit(13)
+
+        checkpoint_hook(crash_after_first_checkpoint)
+        events = []
+        par = run_many_parallel(specs, until, workers=2, retries=1,
+                                checkpoint_dir=str(tmp_path), state_every=5,
+                                on_progress=events.append)
+        assert_results_identical(sequential(specs, until), par)
+        # Samples 1-7 before the crash (sample 8 dies in the hook), then
+        # the retry continues from the sample-5 checkpoint.
+        assert [e.samples for e in events if e.run_index == 0] == \
+            list(range(1, 8)) + list(range(6, 13))
+
+    @pytest.mark.parametrize("stale", ["other-seed", "other-rule", "truncated"])
+    def test_retry_ignores_a_checkpoint_it_did_not_write(
+        self, lr_specs, tmp_path, checkpoint_hook, stale
+    ):
+        """Attempt 0 dies before its first checkpoint, so the retry
+        finds only the file an earlier call left under the run's name."""
+        specs, until = lr_specs[:2], MaxSamples(12)
+        spec, rule = {
+            "other-seed": (specs[0].replace(seed=7), until),
+            "other-rule": (specs[0], MaxSamples(30)),
+            "truncated": (specs[0], until),
+        }[stale]
+        earlier = Session.from_spec(spec).start(rule)
+        earlier.run()
+        text = json.dumps(earlier.to_state())
+        if stale == "truncated":
+            text = text[: len(text) // 2]
+        (tmp_path / "run-000.state.json").write_text(text)
+
+        def crash_before_first_checkpoint(run_index, samples, attempt):
+            if run_index == 0 and samples == 2 and attempt == 0:
+                os._exit(13)
+
+        checkpoint_hook(crash_before_first_checkpoint)
+        par = run_many_parallel(specs, until, workers=2, retries=1,
+                                checkpoint_dir=str(tmp_path), state_every=5)
+        assert_results_identical(sequential(specs, until), par)
+
+
+@needs_fork
 class TestManualRecovery:
     def test_failed_runs_resume_from_preserved_checkpoints(
         self, lr_specs, tmp_path, checkpoint_hook
