@@ -13,8 +13,8 @@ bit for bit.  Keeping the loop in one place keeps the subtle parts —
 budget clamping, mid-batch exhaustion, per-sample stop re-checks — in
 sync across drivers.
 
-The loop is a *generator*: :func:`run_iter` yields a
-:class:`~repro.stats.Checkpoint` after every completed sample, so a
+The loop is a *generator*: :meth:`EstimationDriver.run_iter` yields
+a :class:`~repro.stats.Checkpoint` after every completed sample, so a
 caller can stream progress, stop early, or pause the run and persist
 the estimator's :meth:`~EstimationDriver.to_state` snapshot.  Resuming
 from that snapshot (``load_state`` on a freshly built estimator over
@@ -47,9 +47,16 @@ from ..stats import (
 )
 from .stopping import StoppingRule
 
-__all__ = ["EstimationDriver", "run_iter", "build_result"]
+__all__ = ["EstimationDriver", "build_result", "STATE_VERSION"]
 
 _INF = float("inf")
+
+#: The state format :meth:`EstimationDriver.to_state` writes, and the
+#: only one :meth:`~EstimationDriver.load_state` resumes.  v5 stores
+#: query points where v4 stored whole answers; v4 added the resilience
+#: fault-stream position, v3 the run telemetry, v2 the lazy-reveal
+#: prefetch and the LR oracle's own RNG stream.
+STATE_VERSION = 5
 
 
 def _checkpoint(est, queries_start: int) -> Checkpoint:
@@ -100,40 +107,6 @@ def build_result(est, queries_start: int) -> EstimationResult:
         trace=list(est._trace),
         telemetry=cp.telemetry,
     )
-
-
-def run_iter(
-    est,
-    until: StoppingRule,
-    batch_size: int = 1,
-    *,
-    queries_start: Optional[int] = None,
-) -> Iterator[Checkpoint]:
-    """Drive ``est`` until ``until`` fires, yielding per-sample checkpoints.
-
-    ``est`` supplies: ``interface``, ``sampler``, ``rng``, ``samples``,
-    ``estimate()``, ``_sample_at(q)``, the ``_stat``/``_ratio``/``_trace``
-    accumulators, and ``query.is_ratio``.  Prefetching requires an
-    ``est.history`` with the lazy-reveal ``prefetch``; drivers without
-    one (NNO) pass ``batch_size=1``.
-
-    A sample interrupted by budget exhaustion is discarded (its partial
-    queries still count, as they would against a real rate limit).  On
-    mid-prefetch exhaustion the paid prefix is already staged, so the
-    per-point loop below reveals it for free and stops at the first
-    unpaid point — exactly like a sequential run.
-
-    Between two yields, :meth:`~EstimationDriver.to_state` is a valid
-    pause snapshot.  ``queries_start`` overrides where query accounting
-    begins; a resumed run passes the original run's start so budgets and
-    traces continue seamlessly.
-    """
-    if not isinstance(until, StoppingRule):
-        raise TypeError(f"until must be a StoppingRule, got {type(until).__name__}")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    start = est.interface.queries_used if queries_start is None else queries_start
-    return _drive(est, until, batch_size, start)
 
 
 def _drive(est, until, batch_size, start):
@@ -239,7 +212,16 @@ class EstimationDriver:
         estimator counts from its own beginning, as always), else at the
         current budget position.  The start picked is kept as
         ``queries_start``.
+
+        A sample interrupted by budget exhaustion is discarded (its
+        partial queries still count, as they would against a real rate
+        limit).  On mid-prefetch exhaustion the paid prefix is already
+        staged, so the per-point loop reveals it for free and stops at
+        the first unpaid point — exactly like a sequential run.  Between
+        two yields, :meth:`to_state` is a valid pause snapshot.
         """
+        if not isinstance(until, StoppingRule):
+            raise TypeError(f"until must be a StoppingRule, got {type(until).__name__}")
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         start = getattr(self, "_resume_queries_start", None)
@@ -247,12 +229,7 @@ class EstimationDriver:
             start = self.interface.queries_used
         self._resume_queries_start = None
         self.queries_start = start
-        return run_iter(
-            self,
-            until,
-            self._effective_batch_size(batch_size),
-            queries_start=start,
-        )
+        return _drive(self, until, self._effective_batch_size(batch_size), start)
 
     def run(
         self,
@@ -290,10 +267,6 @@ class EstimationDriver:
             pass
         return build_result(self, self.queries_start)
 
-    def result(self, queries_start: int = 0) -> EstimationResult:
-        """The result of everything accumulated so far."""
-        return build_result(self, queries_start)
-
     # ------------------------------------------------------------------
     def to_state(self, *, queries_start: Optional[int] = None) -> dict:
         """Serializable snapshot of the whole run (JSON-safe dict).
@@ -306,11 +279,7 @@ class EstimationDriver:
         """
         state = {
             "kind": self.kind,
-            # v5: the answer cache and the history store query points,
-            # and resume recomputes the answers (v4 added the engine
-            # state's "resilience" section, v3 per-run telemetry, v2 the
-            # lazy-reveal prefetch and the LR oracle's own RNG stream).
-            "version": 5,
+            "version": STATE_VERSION,
             "telemetry": _checkpoint(self, queries_start or 0).telemetry.to_dict(),
             "queries_start": queries_start,
             "rng": self.rng.bit_generator.state,
@@ -336,18 +305,14 @@ class EstimationDriver:
                 f"state is for a {state.get('kind')!r} driver, not {self.kind!r}"
             )
         version = state.get("version", 1)
-        if version != 5:
-            # v1 snapshots predate the lazy-reveal prefetch and the LR
-            # oracle's own RNG stream, v2 ones the run telemetry, v3
-            # ones the resilience fault-stream position, v4 ones store
-            # whole answers where v5 stores query points; resuming any
-            # of them here would silently lose accounting (or diverge
-            # from the original run — a resumed faulty connection would
-            # restart its fault stream) instead of being bit-identical,
-            # so refuse loudly.
+        if version != STATE_VERSION:
+            # Resuming another format would silently lose accounting
+            # (or diverge from the original run — a resumed faulty
+            # connection would restart its fault stream) instead of
+            # being bit-identical, so refuse loudly.
             raise ValueError(
                 f"cannot resume a version-{version} snapshot with this release "
-                "(state format v5); rerun from the spec instead"
+                f"(state format v{STATE_VERSION}); rerun from the spec instead"
             )
         telemetry = RunTelemetry.from_dict(state.get("telemetry"))
         # Telemetry is derived accounting: only the checkpoint counter

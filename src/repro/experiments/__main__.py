@@ -4,15 +4,16 @@ Without arguments every figure/table is regenerated at the default
 (laptop) scale; pass experiment names (``fig14 table1 ...``) to select.
 ``--batch-size N`` routes every estimator's sample loop through the
 vectorized query-batch prefetch (keep the default of 1 to reproduce the
-paper's query accounting exactly).  ``--workers N`` forks each cost
-table's independent estimation runs across N processes (experiments
-without a ``workers`` knob ignore it); results are identical at any
-worker count.  ``--metrics-out PATH`` enables the :mod:`repro.obs`
-registry around each experiment and writes its snapshot as JSON — to
-``PATH`` when one experiment runs, to per-experiment siblings
-(``name-<experiment>.json``) when several do.  Worker forks report
-through the same registry (see ``_run_estimations``), so the snapshot
-is complete at any ``--workers`` count.
+paper's query accounting exactly).  ``--workers N`` runs each cost
+table's independent estimation runs on N forked workers of
+``run_many_parallel``'s process pool (experiments without a ``workers``
+knob ignore it); results are identical at any worker count.
+``--metrics-out PATH`` enables the :mod:`repro.obs` registry around
+each experiment and writes its snapshot as JSON — to ``PATH`` when one
+experiment runs, to per-experiment siblings (``name-<experiment>.json``)
+when several do.  Pool workers report through the same registry (see
+``_run_estimations``), so the snapshot is complete at any ``--workers``
+count.
 """
 
 from __future__ import annotations

@@ -47,8 +47,8 @@ def cost_vs_error_table(
     vectorized query-batch prefetch (see
     :func:`~repro.experiments.harness.cost_to_reach` for the accounting
     caveat; the default of 1 reproduces the paper's curves exactly).
-    ``workers`` forks each algorithm's independent runs across that many
-    processes — the tables are identical at any worker count.
+    ``workers`` runs each algorithm's independent runs on that many
+    forked pool workers — the tables are identical at any worker count.
     """
     sampler = sampler if sampler is not None else UniformSampler(world.region)
 

@@ -18,6 +18,7 @@ Scale: experiments default to laptop-size databases so the whole suite
 
 from __future__ import annotations
 
+import multiprocessing as mp
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -36,6 +37,7 @@ from ..datasets import (
 from ..geometry import Rect
 from ..lbs import SpatialDatabase
 from ..obs import registry as _obs
+from ..parallel.executor import ParallelRunError, run_pool, serve
 from ..stats import EstimationResult
 
 __all__ = [
@@ -163,73 +165,41 @@ def _run_estimations(
     batch_size: int,
     workers: int,
 ) -> list[EstimationResult]:
-    """The runs behind :func:`cost_to_reach`, optionally forked.
+    """The runs behind :func:`cost_to_reach`, optionally fanned out.
 
     Runs are fully independent (each owns its seed, interface, and
-    budget), so fanning them across processes changes nothing about any
-    single result — the fan-out is fork-based because
-    ``make_estimator`` is typically a closure over a built world, which
-    a forked child inherits without pickling.  Platforms without fork
-    (and ``workers=1``) run sequentially; results always come back in
-    seed order.
+    budget), so running them on the workers of
+    :func:`~repro.parallel.executor.run_pool` changes nothing about any
+    single result.  The pool forks, because ``make_estimator`` is
+    typically a closure over a built world, which a forked worker
+    inherits without pickling.  Platforms without fork (and
+    ``workers=1``) run sequentially; results always come back in seed
+    order.
     """
-    import multiprocessing as mp
 
     def run_one(s: int) -> EstimationResult:
         return make_estimator(s).run(MaxQueries(max_queries), batch_size=batch_size)
 
     if workers <= 1 or len(seeds) <= 1 or "fork" not in mp.get_all_start_methods():
         return [run_one(s) for s in seeds]
-    ctx = mp.get_context("fork")
-    # When a metrics registry is active here, each forked child collects
-    # into a fresh one and its snapshot rides the result pipe back — the
-    # fork waves stay metric-transparent at any worker count.
-    parent_reg = _obs._active
-    collect = parent_reg is not None
 
-    def child(conn, s: int) -> None:
-        try:
-            if collect:
-                with _obs.collecting() as reg:
-                    result = run_one(s)
-                conn.send(("ok", result, reg.to_dict()))
-            else:
-                conn.send(("ok", run_one(s), None))
-        except Exception as exc:  # surface the real error in the parent
-            conn.send(("error", repr(exc), None))
-        finally:
-            conn.close()
+    def worker_main(conn, collect: bool) -> None:
+        serve(conn, collect, lambda _run_index, s, _attempt: run_one(s))
 
-    results: list = [None] * len(seeds)
-    for wave_start in range(0, len(seeds), workers):
-        wave = list(enumerate(seeds))[wave_start : wave_start + workers]
-        procs = []
-        for pos, s in wave:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            p = ctx.Process(target=child, args=(child_conn, s), daemon=True)
-            p.start()
-            child_conn.close()
-            procs.append((pos, parent_conn, p))
-        for pos, conn, p in procs:
-            try:
-                kind, payload, snap = conn.recv()
-            except EOFError:
-                # The child died without reporting (crash, OOM kill).
-                # The run is deterministic and owns nothing shared, so
-                # recover by rerunning the seed right here — with the
-                # parent's registry active, its metrics land directly
-                # (no snapshot to merge).
-                p.join()
-                results[pos] = run_one(seeds[pos])
-                if parent_reg is not None:
-                    parent_reg.inc("runs_recovered_total")
-                continue
-            p.join()
-            if kind == "error":
-                raise RuntimeError(f"estimation run (seed {seeds[pos]}) failed: {payload}")
-            if parent_reg is not None and snap is not None:
-                parent_reg.merge(snap)
-            results[pos] = payload
+    try:
+        return run_pool(mp.get_context("fork"), workers, seeds, worker_main, retries=0)
+    except ParallelRunError as exc:
+        results = exc.results
+    # A seed whose worker died (crash, OOM kill) or raised is rerun
+    # here: the run is deterministic and owns nothing shared.  With the
+    # parent's registry active, its metrics land directly; a seed that
+    # raises again raises its own error.
+    reg = _obs._active
+    for pos, result in enumerate(results):
+        if result is None:
+            results[pos] = run_one(seeds[pos])
+            if reg is not None:
+                reg.inc("runs_recovered_total")
     return results
 
 
@@ -262,9 +232,10 @@ def cost_to_reach(
     default of 1 when reproducing the paper's cost curves exactly; use
     larger batches for throughput studies.
 
-    ``workers`` fans the independent runs across forked processes (see
-    :func:`_run_estimations`); the medians are identical at any worker
-    count.
+    ``workers`` spreads the independent runs over that many forked
+    workers of the pool :func:`~repro.parallel.run_many_parallel` also
+    uses (see :func:`_run_estimations`); the medians are identical at
+    any worker count.
     """
     per_target: dict[float, list[float]] = {t: [] for t in targets}
     seeds = [seed + 1000 * run for run in range(n_runs)]

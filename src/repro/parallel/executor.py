@@ -27,6 +27,11 @@ What is shared, and why it is safe:
   deterministic, so a shared index answers bit-identically to a per-run
   one.
 
+The pool itself, :func:`run_pool` with its worker loop :func:`serve`,
+knows nothing of specs: it hands opaque task payloads to a worker entry
+point.  It serves both callers: :func:`run_many_parallel`, whose
+payloads are spec JSON, and the experiment harness, whose payloads are
+seeds and whose estimator closures reach forked workers unpickled.
 Each worker talks to the coordinator over one duplex pipe: tasks go
 down it, and a :class:`RunProgress` event per checkpoint comes back up
 it.  Workers optionally persist each run's
@@ -46,10 +51,10 @@ Failure handling (``retries`` / ``run_deadline``):
   on the progress stream) takes only its in-flight run with it.  The
   coordinator sees a death as end-of-file on that worker's pipe.  The
   run is re-enqueued up to ``retries`` times, resuming from its latest
-  per-run checkpoint file when that file records the same spec and
-  stopping rule (bit-identical to never crashing — resume is), and a
-  replacement worker is spawned while the respawn budget
-  (``workers * (retries + 1)`` process starts) lasts, degrading
+  per-run checkpoint file when that file records the same spec,
+  stopping rule and state format (bit-identical to never crashing —
+  resume is), and a replacement worker is spawned while the respawn
+  budget (``workers * (retries + 1)`` process starts) lasts, degrading
   gracefully to a smaller pool afterwards.
 * Only after every run is accounted for is :class:`ParallelRunError`
   raised, carrying the failures plus all completed results (completed
@@ -73,6 +78,7 @@ from typing import Callable, Optional, Sequence, Union
 from ..api.session import Session, SessionRun
 from ..api.spec import EstimationSpec
 from ..core import QueryEngineConfig, StoppingRule
+from ..core._driver import STATE_VERSION
 from ..index import make_index_arrays
 from ..lbs.interface import realize_positions
 from ..obs import registry as _obs
@@ -147,13 +153,14 @@ def _load_resume_state(state_path: Optional[str], attempt: int, spec_json: str,
     """The checkpoint a retried run resumes from, or None to start fresh.
 
     Only retry attempts resume, and only from a file that records this
-    run's spec and stopping rule: an attempt that died before its first
-    checkpoint leaves behind whatever an earlier call wrote under the
-    same name.  That file, a torn or unreadable one (the crash may have
-    raced the atomic replace's temp file, never the published one, but
-    be defensive) and a custom rule that cannot be compared all fall
-    back to a fresh start — correct either way, since resume is
-    bit-identical to never pausing.
+    run's spec and stopping rule in this release's state format: an
+    attempt that died before its first checkpoint leaves behind
+    whatever an earlier call wrote under the same name.  That file, a
+    torn or unreadable one (the crash may have raced the atomic
+    replace's temp file, never the published one, but be defensive) and
+    a custom rule that cannot be compared all fall back to a fresh
+    start — correct either way, since resume is bit-identical to never
+    pausing.
     """
     if attempt == 0 or state_path is None:
         return None
@@ -163,7 +170,9 @@ def _load_resume_state(state_path: Optional[str], attempt: int, spec_json: str,
         rule = until.to_dict()
     except (OSError, ValueError):
         return None
-    if json.dumps(state["spec"], sort_keys=True) != spec_json or state["until"] != rule:
+    if (state["driver"].get("version") != STATE_VERSION
+            or json.dumps(state["spec"], sort_keys=True) != spec_json
+            or state["until"] != rule):
         return None
     return state
 
@@ -214,43 +223,56 @@ def _execute_run(world, positions, indexes, run_index, spec_json, until,
     return run.result()
 
 
-def _worker_main(descriptor, conn, checkpoint_dir, state_every, collect):
+def _worker_main(conn, collect, descriptor, untils, checkpoint_dir, state_every):
     shared = SharedWorld.attach(descriptor)
     try:
         world = shared.world()  # one attach + database per worker
         positions: dict = {}  # ObfuscationModel -> realized (N, 2) positions
         indexes: dict = {}    # (model or None, backend, auto_brute_max) -> index
-        while True:
-            task = conn.recv()
-            if task is None:
-                break
-            run_index, spec_json, until, attempt = task
-            # One fresh registry per run (when the parent had one active
-            # at fan-out time), snapshotted onto the result message so
-            # the coordinator can merge per-run metrics exactly once —
-            # including the partial counts of a run that raised.
-            reg = _obs.MetricsRegistry() if collect else None
-            scope = (_obs.collecting(reg) if reg is not None
-                     else contextlib.nullcontext())
-            try:
-                with scope:
-                    result = _execute_run(
-                        world, positions, indexes, run_index, spec_json,
-                        until, conn, checkpoint_dir, state_every, attempt,
-                    )
-                snap = reg.to_dict() if reg is not None else None
-                conn.send(("done", run_index, attempt, result, snap))
-            except Exception:
-                snap = reg.to_dict() if reg is not None else None
-                conn.send(("error", run_index, attempt, spec_json,
-                           traceback.format_exc(), snap))
+
+        def run_task(run_index, spec_json, attempt):
+            return _execute_run(
+                world, positions, indexes, run_index, spec_json,
+                untils[run_index], conn, checkpoint_dir, state_every, attempt,
+            )
+
+        serve(conn, collect, run_task)
     finally:
         shared.close()
 
 
 # ----------------------------------------------------------------------
-# The coordinator
+# The pool
 # ----------------------------------------------------------------------
+def serve(conn, collect: bool, run_task: Callable) -> None:
+    """A pool worker's loop: run each task that arrives on ``conn``.
+
+    ``run_task(run_index, payload, attempt)`` returns the run's result,
+    sent back as ``done``; an exception goes back as ``error`` with its
+    traceback.  When the parent had a metrics registry active at fan-out
+    time (``collect``), each run collects into a fresh registry whose
+    snapshot rides its result message, so the coordinator merges each
+    run's metrics exactly once — including the partial counts of a run
+    that raised.
+    """
+    while True:
+        task = conn.recv()
+        if task is None:
+            return
+        run_index, payload, attempt = task
+        reg = _obs.MetricsRegistry() if collect else None
+        scope = (_obs.collecting(reg) if reg is not None
+                 else contextlib.nullcontext())
+        try:
+            with scope:
+                result = run_task(run_index, payload, attempt)
+            snap = reg.to_dict() if reg is not None else None
+            conn.send(("done", run_index, attempt, result, snap))
+        except Exception:
+            snap = reg.to_dict() if reg is not None else None
+            conn.send(("error", run_index, attempt, traceback.format_exc(), snap))
+
+
 class _Worker:
     """Parent-side handle of one pool process.
 
@@ -300,6 +322,191 @@ def _reap(procs: Sequence) -> None:
         # reaped on POSIX.
         if p.exitcode is not None:
             p.join()
+
+
+def run_pool(ctx, workers: int, tasks: Sequence, target: Callable, args: tuple = (),
+             *, retries: int, run_deadline: Optional[float] = None,
+             on_progress: Optional[Callable[[RunProgress], None]] = None) -> list:
+    """Run one task per payload on a pool of ``workers`` processes.
+
+    Each process of ``ctx`` runs ``target(conn, collect, *args)``, which
+    hands :func:`serve` a ``run_task`` for the payloads.  ``retries``,
+    ``run_deadline`` and ``on_progress`` are :func:`run_many_parallel`'s.
+    Returns the results in task order; raises :class:`ParallelRunError`,
+    whose failures carry the failed tasks' payloads, once every task
+    has settled.
+    """
+    # Captured before forking: when a registry is active here, every
+    # worker collects into a fresh one per run and the snapshots merge
+    # back into this registry as runs settle.
+    parent_reg = _obs._active
+    collect = parent_reg is not None
+
+    def pinc(name: str, labels: Optional[dict] = None) -> None:
+        if parent_reg is not None:
+            parent_reg.inc(name, 1.0, labels)
+
+    pool: list[_Worker] = []  # live workers; a lost one is reaped at once
+    spawned = 0
+    max_spawns = workers * (retries + 1)
+    pending: deque = deque((i, 0) for i in range(len(tasks)))
+    results: list = [None] * len(tasks)
+    failures: list = []
+    settled_runs: set[int] = set()
+
+    def spawn_worker() -> _Worker:
+        nonlocal spawned
+        conn, child_conn = ctx.Pipe()
+        p = ctx.Process(target=target, args=(child_conn, collect, *args), daemon=True)
+        p.start()
+        # Only the worker may hold the far end: its death then reads as
+        # end-of-file here, and later forks do not inherit it.
+        child_conn.close()
+        spawned += 1
+        w = _Worker(p, conn)
+        pool.append(w)
+        return w
+
+    def settle_failure(run_index: int, reason: str) -> None:
+        failures.append((run_index, tasks[run_index], reason))
+        settled_runs.add(run_index)
+        pinc("parallel_runs_total", {"outcome": "crashed"})
+
+    def drain(w: _Worker) -> bool:
+        """Absorb every complete message waiting on ``w``'s pipe; False
+        once the pipe is at end-of-file, i.e. the worker is gone (a torn
+        last message is dropped).  An error raised by ``on_progress``
+        propagates: only the pipe's own errors mean the worker is gone."""
+        while True:
+            try:
+                if not w.conn.poll():
+                    return True
+                msg = w.conn.recv()
+            except (EOFError, OSError):
+                return False
+            absorb(w, msg)
+
+    def lose(w: _Worker, reason: str) -> None:
+        """A dead or killed worker leaves the pool, reaped; its in-flight
+        run is re-enqueued or settled.  What it sent counts first, so a
+        run it completed is not retried."""
+        drain(w)
+        w.proc.join()  # its end of the pipe is closed: it has exited
+        pool.remove(w)
+        w.conn.close()
+        if w.run_index is None:
+            return
+        pinc("parallel_worker_deaths_total", {"reason": reason})
+        if w.attempt < retries:
+            # Highest priority: the recovered run is furthest along.
+            pending.appendleft((w.run_index, w.attempt + 1))
+        else:
+            settle_failure(
+                w.run_index,
+                f"worker process {reason} (exit code {w.proc.exitcode}) on "
+                f"attempt {w.attempt + 1}/{retries + 1}; retries exhausted",
+            )
+
+    def absorb(w: _Worker, msg) -> None:
+        kind = msg[0]
+        if kind == "progress":
+            _kind, run_index, samples, queries, estimate = msg
+            w.last_activity = time.monotonic()
+            if on_progress is not None:
+                on_progress(RunProgress(run_index, samples, queries, estimate))
+            return
+        w.run_index = None  # idle again
+        run_index = msg[1]
+        if run_index in settled_runs:
+            # A lost worker's pipe is drained to end-of-file before its
+            # run is retried, so a second settlement is not expected; if
+            # one arrives, both are bit-identical — count one.
+            return
+        settled_runs.add(run_index)
+        if kind == "done":
+            _kind, _ri, attempt, result, snap = msg
+            results[run_index] = result
+            if parent_reg is not None and snap is not None:
+                parent_reg.merge(snap)
+            pinc("parallel_runs_total", {"outcome": "ok"})
+            if attempt > 0:
+                pinc("runs_recovered_total")
+        elif kind == "error":
+            _kind, _ri, _attempt, tb, snap = msg
+            failures.append((run_index, tasks[run_index], tb))
+            if parent_reg is not None and snap is not None:
+                parent_reg.merge(snap, extra_labels={"outcome": "failed"})
+            pinc("parallel_runs_total", {"outcome": "error"})
+        else:
+            raise RuntimeError(f"unexpected worker message {msg!r}")
+
+    try:
+        for _ in range(min(workers, len(tasks))):
+            spawn_worker()
+
+        while len(settled_runs) < len(tasks):
+            # 1) Heartbeat watchdog: a busy worker silent past the
+            #    per-run deadline is hung — kill it and retry the run.
+            if run_deadline is not None:
+                now = time.monotonic()
+                for w in list(pool):
+                    if w.run_index is not None and \
+                            now - w.last_activity > run_deadline:
+                        w.proc.terminate()
+                        w.proc.join(timeout=2.0)
+                        if w.proc.is_alive():
+                            w.proc.kill()
+                            w.proc.join()
+                        lose(w, "hung")
+            # 2) Keep the pool at strength while work and budget remain.
+            idle = [w for w in pool if w.run_index is None]
+            while (pending and len(idle) < len(pending)
+                   and len(pool) < workers and spawned < max_spawns):
+                idle.append(spawn_worker())
+            # 3) Dispatch pending runs to idle workers.  The send fails
+            #    only when the worker has died idle since its pipe was
+            #    last read; that counts as its death, run included.
+            while pending and idle:
+                w = idle.pop()
+                ri, attempt = pending.popleft()
+                w.run_index, w.attempt = ri, attempt
+                w.last_activity = time.monotonic()
+                try:
+                    w.conn.send((ri, tasks[ri], attempt))
+                except OSError:
+                    lose(w, "died")
+            # 4) A non-empty backlog with no pool left and no budget to
+            #    rebuild one can never settle — fail it out loudly
+            #    rather than spinning forever.
+            if pending and not pool and spawned >= max_spawns:
+                while pending:
+                    ri, _attempt = pending.popleft()
+                    settle_failure(
+                        ri,
+                        f"respawn budget exhausted ({spawned} worker starts, "
+                        f"limit {max_spawns}); run never got a worker",
+                    )
+                continue
+            # 5) Drain results.  End-of-file on a pipe is its worker's
+            #    death.  The wait times out only so that the watchdog
+            #    above gets to run.
+            ready = mp_connection.wait([w.conn for w in pool], timeout=0.25)
+            for w in list(pool):
+                if w.conn in ready and not drain(w):
+                    lose(w, "died")
+    finally:
+        for w in pool:
+            # Every run settled, or the call is failing: workers may
+            # exit.  One that has died since its pipe was last read is
+            # reaped below all the same.
+            with contextlib.suppress(OSError):
+                w.conn.send(None)
+        _reap([w.proc for w in pool])
+        for w in pool:
+            w.conn.close()
+    if failures:
+        raise ParallelRunError(failures, results)
+    return results
 
 
 def run_many_parallel(
@@ -416,182 +623,12 @@ def run_many_parallel(
 
     ctx = mp_context if mp_context is not None else _default_context()
     cleanup_stale_segments()
-    # Captured before forking: when a registry is active here, every
-    # worker collects into a fresh one per run and the snapshots merge
-    # back into this registry as runs settle.
-    parent_reg = _obs._active
-    collect = parent_reg is not None
-
-    def pinc(name: str, labels: Optional[dict] = None) -> None:
-        if parent_reg is not None:
-            parent_reg.inc(name, 1.0, labels)
-
     shared = SharedWorld.export(world)
-    descriptor = shared.descriptor()
-
-    pool: list[_Worker] = []  # live workers; a lost one is reaped at once
-    spawned = 0
-    max_spawns = workers * (retries + 1)
-    pending: deque = deque((i, 0) for i in range(len(specs)))
-    results: list[Optional[EstimationResult]] = [None] * len(specs)
-    failures: list = []
-    settled_runs: set[int] = set()
-
-    def spawn_worker() -> _Worker:
-        nonlocal spawned
-        conn, child_conn = ctx.Pipe()
-        p = ctx.Process(
-            target=_worker_main,
-            args=(descriptor, child_conn, checkpoint_dir, state_every, collect),
-            daemon=True,
-        )
-        p.start()
-        # Only the worker may hold the far end: its death then reads as
-        # end-of-file here, and later forks do not inherit it.
-        child_conn.close()
-        spawned += 1
-        w = _Worker(p, conn)
-        pool.append(w)
-        return w
-
-    def settle_failure(run_index: int, reason: str) -> None:
-        failures.append((run_index, spec_jsons[run_index], reason))
-        settled_runs.add(run_index)
-        pinc("parallel_runs_total", {"outcome": "crashed"})
-
-    def drain(w: _Worker) -> bool:
-        """Absorb every complete message waiting on ``w``'s pipe; False
-        once the pipe is at end-of-file, i.e. the worker is gone (a torn
-        last message is dropped).  An error raised by ``on_progress``
-        propagates: only the pipe's own errors mean the worker is gone."""
-        while True:
-            try:
-                if not w.conn.poll():
-                    return True
-                msg = w.conn.recv()
-            except (EOFError, OSError):
-                return False
-            absorb(w, msg)
-
-    def lose(w: _Worker, reason: str) -> None:
-        """A dead or killed worker leaves the pool, reaped; its in-flight
-        run is re-enqueued or settled.  What it sent counts first, so a
-        run it completed is not retried."""
-        drain(w)
-        w.proc.join()  # its end of the pipe is closed: it has exited
-        pool.remove(w)
-        w.conn.close()
-        if w.run_index is None:
-            return
-        pinc("parallel_worker_deaths_total", {"reason": reason})
-        if w.attempt < retries:
-            # Highest priority: the recovered run is furthest along.
-            pending.appendleft((w.run_index, w.attempt + 1))
-        else:
-            settle_failure(
-                w.run_index,
-                f"worker process {reason} (exit code {w.proc.exitcode}) on "
-                f"attempt {w.attempt + 1}/{retries + 1}; retries exhausted",
-            )
-
-    def absorb(w: _Worker, msg) -> None:
-        kind = msg[0]
-        if kind == "progress":
-            _kind, run_index, samples, queries, estimate = msg
-            w.last_activity = time.monotonic()
-            if on_progress is not None:
-                on_progress(RunProgress(run_index, samples, queries, estimate))
-            return
-        w.run_index = None  # idle again
-        run_index = msg[1]
-        if run_index in settled_runs:
-            # A lost worker's pipe is drained to end-of-file before its
-            # run is retried, so a second settlement is not expected; if
-            # one arrives, both are bit-identical — count one.
-            return
-        settled_runs.add(run_index)
-        if kind == "done":
-            _kind, _ri, attempt, result, snap = msg
-            results[run_index] = result
-            if parent_reg is not None and snap is not None:
-                parent_reg.merge(snap)
-            pinc("parallel_runs_total", {"outcome": "ok"})
-            if attempt > 0:
-                pinc("runs_recovered_total")
-        elif kind == "error":
-            _kind, _ri, _attempt, spec_json, tb, snap = msg
-            failures.append((run_index, spec_json, tb))
-            if parent_reg is not None and snap is not None:
-                parent_reg.merge(snap, extra_labels={"outcome": "failed"})
-            pinc("parallel_runs_total", {"outcome": "error"})
-        else:
-            raise RuntimeError(f"unexpected worker message {msg!r}")
-
     try:
-        for _ in range(min(workers, len(specs))):
-            spawn_worker()
-
-        while len(settled_runs) < len(specs):
-            # 1) Heartbeat watchdog: a busy worker silent past the
-            #    per-run deadline is hung — kill it and retry the run.
-            if run_deadline is not None:
-                now = time.monotonic()
-                for w in list(pool):
-                    if w.run_index is not None and \
-                            now - w.last_activity > run_deadline:
-                        w.proc.terminate()
-                        w.proc.join(timeout=2.0)
-                        if w.proc.is_alive():
-                            w.proc.kill()
-                            w.proc.join()
-                        lose(w, "hung")
-            # 2) Keep the pool at strength while work and budget remain.
-            idle = [w for w in pool if w.run_index is None]
-            while (pending and len(idle) < len(pending)
-                   and len(pool) < workers and spawned < max_spawns):
-                idle.append(spawn_worker())
-            # 3) Dispatch pending runs to idle workers.  The send fails
-            #    only when the worker has died idle since its pipe was
-            #    last read; that counts as its death, run included.
-            while pending and idle:
-                w = idle.pop()
-                ri, attempt = pending.popleft()
-                w.run_index, w.attempt = ri, attempt
-                w.last_activity = time.monotonic()
-                try:
-                    w.conn.send((ri, spec_jsons[ri], untils[ri], attempt))
-                except OSError:
-                    lose(w, "died")
-            # 4) A non-empty backlog with no pool left and no budget to
-            #    rebuild one can never settle — fail it out loudly
-            #    rather than spinning forever.
-            if pending and not pool and spawned >= max_spawns:
-                while pending:
-                    ri, _attempt = pending.popleft()
-                    settle_failure(
-                        ri,
-                        f"respawn budget exhausted ({spawned} worker starts, "
-                        f"limit {max_spawns}); run never got a worker",
-                    )
-                continue
-            # 5) Drain results.  End-of-file on a pipe is its worker's
-            #    death.  The wait times out only so that the watchdog
-            #    above gets to run.
-            ready = mp_connection.wait([w.conn for w in pool], timeout=0.25)
-            for w in list(pool):
-                if w.conn in ready and not drain(w):
-                    lose(w, "died")
+        return run_pool(
+            ctx, workers, spec_jsons, _worker_main,
+            (shared.descriptor(), untils, checkpoint_dir, state_every),
+            retries=retries, run_deadline=run_deadline, on_progress=on_progress,
+        )
     finally:
-        for w in pool:
-            # Every run settled, or the call is failing: workers may
-            # exit.  One that has died since its pipe was last read is
-            # reaped below all the same.
-            with contextlib.suppress(OSError):
-                w.conn.send(None)
-        _reap([w.proc for w in pool])
-        for w in pool:
-            w.conn.close()
         shared.destroy()
-    if failures:
-        raise ParallelRunError(failures, results)
-    return results

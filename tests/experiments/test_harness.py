@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+from repro import obs
+from repro.datasets import PoiConfig
+from repro.experiments import fig14_count_schools
 from repro.experiments.harness import (
     ExperimentTable,
     _run_estimations,
@@ -13,7 +16,10 @@ from repro.experiments.harness import (
     poi_world,
     user_world,
 )
+from repro.geometry import Rect
 from repro.stats import EstimationResult, TracePoint
+
+TINY_BOX = Rect(0, 0, 120, 90)
 
 
 class TestExperimentTable:
@@ -92,7 +98,7 @@ class TestWorlds:
 
 
 @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                    reason="the fork-wave fan-out needs fork")
+                    reason="the harness fan-out needs fork")
 class TestForkWaveRecovery:
     def test_dead_child_recovered_by_in_parent_rerun(self):
         """A forked wave child that dies without reporting (EOF on the
@@ -115,3 +121,50 @@ class TestForkWaveRecovery:
         )
         assert [(r.estimate, r.queries, r.trace) for r in recovered] == \
                [(r.estimate, r.queries, r.trace) for r in sequential]
+
+    def test_dead_child_counts_one_recovered_run(self):
+        parent_pid = os.getpid()
+
+        def make_estimator(s):
+            if s == 2 and os.getpid() != parent_pid:
+                os._exit(5)
+            return _FakeEstimator(100.0 + s, 0.01)
+
+        with obs.collecting() as reg:
+            _run_estimations(make_estimator, seeds=[1, 2, 3], max_queries=500,
+                             batch_size=1, workers=3)
+        assert reg.get("runs_recovered_total") == 1.0
+
+    def test_seed_raising_in_every_process_fails_the_call(self):
+        """The failing seed raises in its worker and again when rerun in
+        the parent: the call raises that error instead of returning a
+        table."""
+
+        def make_estimator(s):
+            if s == 1000:
+                raise ValueError(f"no estimator for seed {s}")
+            return _FakeEstimator(100.0, 0.01)
+
+        with pytest.raises(Exception, match="no estimator for seed 1000"):
+            cost_to_reach(make_estimator, truth=100.0, targets=(0.1,),
+                          n_runs=3, max_queries=500, workers=2)
+
+
+@pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                    reason="the harness fan-out needs fork")
+def test_fig14_fan_out_matches_sequential():
+    """Real estimators through the fan-out: the table and the merged
+    metric totals are the same at one and two workers."""
+    world = poi_world(seed=23, region=TINY_BOX, config=PoiConfig(60, 40, 5, 5),
+                      n_cities=6)
+    tables, totals = [], []
+    for workers in (1, 2):
+        with obs.collecting() as reg:
+            table = fig14_count_schools.run(world, n_runs=3, max_queries=300,
+                                            workers=workers)
+        tables.append(table.rows)
+        totals.append((reg.total("interface_queries_total"),
+                       reg.total("run_samples_total")))
+    assert tables[0] == tables[1]
+    assert totals[0] == totals[1]
+    assert min(totals[0]) > 0

@@ -207,7 +207,8 @@ class TestResumeSource:
         assert [e.samples for e in events if e.run_index == 0] == \
             list(range(1, 8)) + list(range(6, 13))
 
-    @pytest.mark.parametrize("stale", ["other-seed", "other-rule", "truncated"])
+    @pytest.mark.parametrize(
+        "stale", ["other-seed", "other-rule", "truncated", "older-format"])
     def test_retry_ignores_a_checkpoint_it_did_not_write(
         self, lr_specs, tmp_path, checkpoint_hook, stale
     ):
@@ -218,10 +219,14 @@ class TestResumeSource:
             "other-seed": (specs[0].replace(seed=7), until),
             "other-rule": (specs[0], MaxSamples(30)),
             "truncated": (specs[0], until),
+            "older-format": (specs[0], until),
         }[stale]
         earlier = Session.from_spec(spec).start(rule)
         earlier.run()
-        text = json.dumps(earlier.to_state())
+        state = earlier.to_state()
+        if stale == "older-format":
+            state["driver"]["version"] = 4  # same spec and rule, v4 state
+        text = json.dumps(state)
         if stale == "truncated":
             text = text[: len(text) // 2]
         (tmp_path / "run-000.state.json").write_text(text)
