@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .halfplane import HalfPlane
-from .polygon import BBOX_LABEL, ConvexPolygon, _coordinate_scale
+from .polygon import BBOX_LABEL, ConvexPolygon, clip_flat, coordinate_scale
 from .primitives import EPS, Point
 
 __all__ = ["LevelRegion", "build_level_region"]
@@ -206,80 +206,65 @@ class _ClipChain:
     """The convex piece of one violated subset ``S``: ``base`` clipped by
     every constraint in index order, flipped when its index is in ``S``.
 
-    Two exact shortcuts over clipping by every plane:
+    The chain runs on :func:`clip_flat`'s flat states ``(xs, ys, labels,
+    scale, area)`` and builds a :class:`ConvexPolygon` only for the piece
+    it hands out.  Two exact shortcuts over clipping by every plane:
 
-    * A plane that keeps every vertex of the current polygon is skipped.
-      The test is ``ConvexPolygon.clip``'s own: the same
-      ``a*x + b*y - c`` per vertex, against the same per-polygon
-      tolerance ``EPS * hp.scale() * _coordinate_scale(vertices)``, so
-      ``clip`` would have returned the polygon unchanged.
-    * Each piece keeps its checkpoints: the index of every plane that was
-      clipped and the polygon after it.  The chains of ``S`` and of its
-      BFS neighbour ``S ^ {j}`` agree on every plane before ``j``, so the
+    * A plane that keeps every vertex of the current polygon is skipped:
+      its slacks are :meth:`ConvexPolygon.clip`'s own, the same
+      ``a*x + b*y - c`` per vertex against the same tolerance, so the
+      clip would have returned the polygon unchanged.
+    * Each piece keeps its checkpoints: the index of every plane that
+      cut, and the state after it.  The chains of ``S`` and of its BFS
+      neighbour ``S ^ {j}`` agree on every plane before ``j``, so the
       neighbour resumes from ``S``'s last checkpoint before ``j``.
 
     Checkpoints, like the oriented planes, live for one region build.
     """
 
     def __init__(self, cons: tuple[HalfPlane, ...], base: ConvexPolygon):
-        self.cons = cons
         self.base = base
-        #: j -> (a, b, c, EPS * scale) of constraint j as given
+        xs, ys = zip(*base.vertices)
+        self.start = (xs, ys, base.edge_labels, coordinate_scale(xs, ys), None)
+        #: j -> (a, b, c, EPS * scale) of constraint j as given ...
         self.keep = [(hp.a, hp.b, hp.c, EPS * hp.scale()) for hp in cons]
-        #: j -> the same for constraint j flipped, built on first use
-        self.flip: dict[int, tuple[float, float, float, float]] = {}
-        #: (j, flipped) -> the clip plane, labelled j, built on first use
-        self.planes: dict[tuple[int, bool], HalfPlane] = {}
-        #: subset -> (indices of the clipped planes, polygon after each)
-        self.checkpoints: dict[frozenset, tuple[list[int], list[ConvexPolygon]]] = {}
+        #: ... and flipped, as HalfPlane.flipped() would have it
+        self.flip = [(-a, -b, -c, tol) for a, b, c, tol in self.keep]
+        #: subset -> (indices of the planes that cut, the state after each)
+        self.checkpoints: dict[frozenset, tuple[list[int], list[tuple]]] = {}
 
     def piece(self, subset: frozenset, parent: Optional[frozenset] = None,
               toggled: int = 0) -> ConvexPolygon:
         """The piece of ``subset``; with ``parent``, resume the chain of
         the piece ``parent`` (``subset`` is ``parent ^ {toggled}``)."""
         if parent is None:
-            indices, polys, start = [], [], 0
+            indices, states, start = [], [], 0
         else:
-            parent_indices, parent_polys = self.checkpoints[parent]
+            parent_indices, parent_states = self.checkpoints[parent]
             start = max(toggled, 0)  # a base edge may carry a negative int label
             cut = bisect_left(parent_indices, start)
-            indices, polys = parent_indices[:cut], parent_polys[:cut]
-        poly = polys[-1] if polys else self.base
-        vertices = poly.vertices
-        scale = _coordinate_scale(vertices)
-        keep = self.keep
+            indices, states = parent_indices[:cut], parent_states[:cut]
+        xs, ys, labels, scale, area = states[-1] if states else self.start
+        keep, flip = self.keep, self.flip
         for j in range(start, len(keep)):
-            flipped = j in subset
-            a, b, c, tol_factor = self._flipped(j) if flipped else keep[j]
+            a, b, c, tol_factor = flip[j] if j in subset else keep[j]
             tol = tol_factor * scale
-            for v in vertices:
-                if a * v.x + b * v.y - c > tol:
+            for x, y in zip(xs, ys):
+                if a * x + b * y - c > tol:
                     break
             else:
-                continue  # every vertex inside: clip would return poly
-            poly = poly.clip(self._plane(j, flipped))
-            if poly.is_empty():
+                continue  # every vertex inside: nothing to cut
+            values = [a * x + b * y - c for x, y in zip(xs, ys)]
+            out = clip_flat(xs, ys, labels, values, tol, j)
+            xs, ys, labels, scale, area = out
+            if area == 0.0:  # no interior, as ConvexPolygon.is_empty() has it
                 return ConvexPolygon.empty()
-            vertices = poly.vertices
-            scale = _coordinate_scale(vertices)
             indices.append(j)
-            polys.append(poly)
-        self.checkpoints[subset] = (indices, polys)
-        return poly
-
-    def _flipped(self, j: int) -> tuple[float, float, float, float]:
-        coeffs = self.flip.get(j)
-        if coeffs is None:
-            hp = self._plane(j, True)
-            coeffs = self.flip[j] = (hp.a, hp.b, hp.c, EPS * hp.scale())
-        return coeffs
-
-    def _plane(self, j: int, flipped: bool) -> HalfPlane:
-        plane = self.planes.get((j, flipped))
-        if plane is None:
-            hp = self.cons[j].flipped() if flipped else self.cons[j]
-            plane = self.planes[(j, flipped)] = hp.relabel(j)
-        return plane
+            states.append(out)
+        self.checkpoints[subset] = (indices, states)
+        if not states:
+            return self.base
+        return ConvexPolygon._from_flat(xs, ys, labels, scale, area)
 
 
 def _rescue_seed(region: LevelRegion, seed: Point, piece_for, level: int):

@@ -16,6 +16,7 @@ Vertices are stored counter-clockwise; ``edge_labels[i]`` tags the edge from
 from __future__ import annotations
 
 import math
+from math import hypot
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .halfplane import HalfPlane
@@ -24,7 +25,6 @@ from .primitives import (
     Point,
     Rect,
     distance,
-    interpolate,
     orientation,
     polygon_area,
     polygon_centroid,
@@ -40,9 +40,14 @@ _MERGE_TOL = 1e-9
 
 
 class ConvexPolygon:
-    """An immutable convex polygon with per-edge labels."""
+    """An immutable convex polygon with per-edge labels.
 
-    __slots__ = ("vertices", "edge_labels")
+    A polygon made by :meth:`clip` carries its coordinate scale and
+    signed area out of the clip that made it; any other polygon works
+    them out on first use.
+    """
+
+    __slots__ = ("vertices", "edge_labels", "_scale", "_area")
 
     def __init__(self, vertices: Sequence[Point], edge_labels: Optional[Sequence[object]] = None):
         vs = [Point(float(p[0]), float(p[1])) for p in vertices]
@@ -52,6 +57,8 @@ class ConvexPolygon:
             raise ValueError("edge_labels must match vertices 1:1")
         self.vertices: tuple[Point, ...] = tuple(vs)
         self.edge_labels: tuple[object, ...] = tuple(edge_labels)
+        self._scale: Optional[float] = None
+        self._area: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -64,6 +71,19 @@ class ConvexPolygon:
     @staticmethod
     def empty() -> "ConvexPolygon":
         return ConvexPolygon([], [])
+
+    @staticmethod
+    def _from_flat(xs: Sequence[float], ys: Sequence[float], labels: Sequence[object],
+                  scale: float, area: float) -> "ConvexPolygon":
+        """The polygon of a :func:`clip_flat` result.  The result's scale
+        and signed area are exactly what these vertices give, so the
+        polygon keeps them instead of working them out again."""
+        poly = object.__new__(ConvexPolygon)
+        poly.vertices = tuple(map(Point, xs, ys))
+        poly.edge_labels = tuple(labels)
+        poly._scale = scale
+        poly._area = area
+        return poly
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -84,7 +104,9 @@ class ConvexPolygon:
         return self.area() <= max(min_area, 0.0)
 
     def area(self) -> float:
-        return abs(polygon_area(self.vertices))
+        if self._area is None:
+            self._area = polygon_area(self.vertices)
+        return abs(self._area)
 
     def centroid(self) -> Point:
         return polygon_centroid(self.vertices)
@@ -129,40 +151,24 @@ class ConvexPolygon:
         """Intersection with a half-plane (Sutherland–Hodgman, one plane).
 
         New edges introduced along the half-plane boundary carry
-        ``hp.label``; surviving edges keep their labels.
+        ``hp.label``; surviving edges keep their labels.  A polygon the
+        plane does not cut is returned as is.
         """
-        n = len(self.vertices)
-        if n == 0:
+        if not self.vertices:
             return self
-        tol = EPS * hp.scale() * _coordinate_scale(self.vertices)
-        values = [hp.value(v) for v in self.vertices]
-        if all(v <= tol for v in values):
+        xs, ys = zip(*self.vertices)
+        if self._scale is None:
+            self._scale = coordinate_scale(xs, ys)
+        tol = EPS * hp.scale() * self._scale
+        a, b, c = hp.a, hp.b, hp.c
+        for x, y in zip(xs, ys):
+            if a * x + b * y - c > tol:
+                break
+        else:
             return self  # fully inside; nothing to do
-        if all(v >= -tol for v in values):
-            return ConvexPolygon.empty()  # fully outside
-
-        out_vertices: list[Point] = []
-        out_labels: list[object] = []
-        for i in range(n):
-            p, q = self.vertices[i], self.vertices[(i + 1) % n]
-            vp, vq = values[i], values[(i + 1) % n]
-            label = self.edge_labels[i]
-            p_in = vp <= tol
-            q_in = vq <= tol
-            if p_in:
-                out_vertices.append(p)
-                if q_in:
-                    out_labels.append(label)
-                else:
-                    out_labels.append(label)
-                    x = _crossing(p, q, vp, vq)
-                    out_vertices.append(x)
-                    out_labels.append(hp.label)
-            elif q_in:
-                x = _crossing(p, q, vp, vq)
-                out_vertices.append(x)
-                out_labels.append(label)
-        return _dedupe(out_vertices, out_labels)
+        values = [a * x + b * y - c for x, y in zip(xs, ys)]
+        return ConvexPolygon._from_flat(
+            *clip_flat(xs, ys, self.edge_labels, values, tol, hp.label))
 
     def clip_many(self, half_planes: Iterable[HalfPlane]) -> "ConvexPolygon":
         """Clip by several half-planes, short-circuiting when empty."""
@@ -225,43 +231,90 @@ def sample_triangle(tri: tuple[Point, Point, Point], rng) -> Point:
     return Point(x, y)
 
 
-def _crossing(p: Point, q: Point, vp: float, vq: float) -> Point:
-    """Where segment ``pq`` crosses the clip line (``vp``/``vq`` are the
-    signed slacks at the endpoints, of opposite signs)."""
-    t = vp / (vp - vq)
-    t = min(1.0, max(0.0, t))
-    return interpolate(p, q, t)
+#: A :func:`clip_flat` result that leaves no polygon.
+_NOTHING: tuple = ((), (), (), 1.0, 0.0)
 
 
-def _coordinate_scale(vertices: Sequence[Point]) -> float:
-    """Rough coordinate magnitude, to keep clipping tolerances scale-free."""
-    m = 1.0
-    for v in vertices:
-        m = max(m, abs(v.x), abs(v.y))
-    return m
+def coordinate_scale(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Rough coordinate magnitude, to keep clipping tolerances scale-free:
+    the largest ``|x|`` or ``|y|``, and at least 1."""
+    return max((1.0, *map(abs, xs), *map(abs, ys)))
 
 
-def _dedupe(vertices: list[Point], labels: list[object]) -> ConvexPolygon:
-    """Drop (near-)duplicate consecutive vertices produced by clipping.
+def clip_flat(xs: Sequence[float], ys: Sequence[float], labels: Sequence[object],
+              values: Sequence[float], tol: float, label: object) -> tuple:
+    """Clip a convex polygon, given as flat coordinate and edge-label
+    sequences, by a half-plane: the one clip behind
+    :meth:`ConvexPolygon.clip` and the level-region kernel.
 
-    When the zero-length edge ``(v[i], v[i+1])`` collapses, ``v[i+1]`` is
-    removed and ``v[i]`` inherits the *following* edge's label, preserving
-    the label of every edge with positive length.
+    ``values`` are the vertices' slacks ``a*x + b*y - c`` against the
+    half-plane ``a*x + b*y <= c``; a vertex is inside when its slack is
+    at most ``tol`` (``EPS * hp.scale()`` times the polygon's
+    :func:`coordinate_scale`), and the caller has seen one that is not.
+
+    Returns ``(xs, ys, labels, scale, area)``: the clipped polygon's
+    vertices and edge labels (new edges carry ``label``), its coordinate
+    scale and its signed shoelace area, with no vertices when nothing is
+    left; three or more vertices may still have zero area.  A crossing
+    is ``p + t*(q - p)`` with ``t = vp / (vp - vq)`` clamped to [0, 1].
+    A vertex within ``_MERGE_TOL`` times the unmerged output's scale of
+    the next one is dropped (the next keeps its own label), and fewer
+    than three vertices leave nothing.
     """
-    n = len(vertices)
-    if n == 0:
-        return ConvexPolygon.empty()
-    scale = _coordinate_scale(vertices)
-    tol = _MERGE_TOL * scale
-    keep_v: list[Point] = []
-    keep_l: list[object] = []
+    if min(values) >= -tol:
+        return _NOTHING  # fully outside
+    # Edge i runs from vertex i to vertex i + 1; the index i + 1 - n is
+    # i + 1 counted from the end, which wraps the last edge to vertex 0.
+    n = len(values)
+    ox: list[float] = []
+    oy: list[float] = []
+    ol: list[object] = []
     for i in range(n):
-        v = vertices[i]
-        nxt = vertices[(i + 1) % n]
-        if distance(v, nxt) <= tol:
+        j = i + 1 - n
+        vp = values[i]
+        vq = values[j]
+        if vp <= tol:
+            px = xs[i]
+            py = ys[i]
+            ox.append(px)
+            oy.append(py)
+            ol.append(labels[i])
+            if vq > tol:
+                t = vp / (vp - vq)
+                t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1, max(0, t))
+                ox.append(px + t * (xs[j] - px))
+                oy.append(py + t * (ys[j] - py))
+                ol.append(label)
+        elif vq <= tol:
+            px = xs[i]
+            py = ys[i]
+            t = vp / (vp - vq)
+            t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+            ox.append(px + t * (xs[j] - px))
+            oy.append(py + t * (ys[j] - py))
+            ol.append(labels[i])
+    # Drop (near-)duplicate consecutive vertices.
+    scale = coordinate_scale(ox, oy)
+    merge = _MERGE_TOL * scale
+    m = len(ox)
+    kx: list[float] = []
+    ky: list[float] = []
+    kl: list[object] = []
+    for i in range(m):
+        j = i + 1 - m
+        if hypot(ox[i] - ox[j], oy[i] - oy[j]) <= merge:
             continue  # outgoing edge degenerate: drop this vertex
-        keep_v.append(v)
-        keep_l.append(labels[i])
-    if len(keep_v) < 3:
-        return ConvexPolygon.empty()
-    return ConvexPolygon(keep_v, keep_l)
+        kx.append(ox[i])
+        ky.append(oy[i])
+        kl.append(ol[i])
+    k = len(kx)
+    if k < 3:
+        return _NOTHING
+    if k < m:
+        scale = coordinate_scale(kx, ky)
+    # polygon_area's shoelace, term for term.
+    acc = 0.0
+    for i in range(k):
+        j = i + 1 - k
+        acc += kx[i] * ky[j] - kx[j] * ky[i]
+    return kx, ky, kl, scale, acc / 2.0

@@ -20,6 +20,7 @@ from repro.geometry import (
     true_voronoi_cell,
 )
 from repro.index import BruteForceIndex
+from reference_clip import reference_clip
 
 BOX = Rect(0, 0, 100, 100)
 
@@ -108,7 +109,8 @@ class TestLevelRegion:
 def reference_level_region(constraints, level, base, seed, max_pieces=100_000):
     """``build_level_region`` with every piece clipped from ``base`` by
     every constraint in index order: the from-scratch clip chain the
-    resumable kernel must reproduce bit for bit."""
+    resumable kernel must reproduce bit for bit.  Its clips are
+    ``reference_clip``'s, so it shares no clip code with the kernel."""
     cons = tuple(constraints)
     region = LevelRegion(cons, level, base)
     if base.is_empty():
@@ -128,7 +130,7 @@ def reference_level_region(constraints, level, base, seed, max_pieces=100_000):
         poly = base
         for j, hp in enumerate(cons):
             plane = hp.flipped() if j in subset else hp
-            poly = poly.clip(plane.relabel(j))
+            poly = reference_clip(poly, plane.relabel(j))
             if poly.is_empty():
                 return ConvexPolygon.empty()
         return poly

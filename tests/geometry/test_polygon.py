@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     BBOX_LABEL,
+    EPS,
     ConvexPolygon,
     HalfPlane,
     Point,
     Rect,
     bisector_halfplane,
 )
+from repro.geometry.primitives import polygon_area
+from reference_clip import _coordinate_scale, reference_clip
 
 BOX = Rect(0, 0, 10, 10)
 coord = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -106,6 +109,101 @@ class TestClip:
                 return
         for v in poly.vertices:
             assert BOX.contains(v, tol=1e-6)
+
+
+def clip_bits(poly):
+    """Vertex floats (as hex), edge labels, emptiness and area."""
+    return ([(v.x.hex(), v.y.hex()) for v in poly.vertices], poly.edge_labels,
+            poly.is_empty(), poly.area().hex())
+
+
+def km_polygon(rng):
+    """A random convex polygon in metres: 3-11 vertices on a circle of
+    radius 10 m to 50 km, centred up to 2,000 km from the origin; one in
+    four is a needle, a triangle with a corner of 1e-9 to 1e-5 rad."""
+    n = int(rng.integers(3, 12))
+    cx, cy = rng.uniform(-2e6, 2e6, 2)
+    r = 10.0 ** rng.uniform(1.0, 4.7)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    if rng.random() < 0.25:
+        n = 3
+        theta, half = rng.uniform(0.0, 2.0 * np.pi), 10.0 ** rng.uniform(-9.0, -5.0) / 2
+        angles = np.array([theta + np.pi, theta - half, theta + half])
+    vertices = [Point(float(cx + r * np.cos(t)), float(cy + r * np.sin(t))) for t in angles]
+    labels = [i if rng.random() < 0.7 else BBOX_LABEL for i in range(n)]
+    return ConvexPolygon(vertices, labels)
+
+
+def unit(theta):
+    return float(np.cos(theta)), float(np.sin(theta))
+
+
+def cut_plane(rng, poly, kind):
+    """A half-plane of one kind against ``poly``'s vertices."""
+    vs = poly.vertices
+    n = len(vs)
+    i = int(rng.integers(n))
+    p, q = vs[i], vs[(i + 1) % n]
+    scale = _coordinate_scale(vs)
+    if kind == "random":  # a line through a random point of the bounding box
+        a, b = unit(rng.uniform(0.0, 2.0 * np.pi))
+        x = rng.uniform(min(v.x for v in vs), max(v.x for v in vs))
+        y = rng.uniform(min(v.y for v in vs), max(v.y for v in vs))
+        return HalfPlane(a, b, a * x + b * y, "cut")
+    if kind == "vertex":  # a line through a vertex
+        a, b = unit(rng.uniform(0.0, 2.0 * np.pi))
+        return HalfPlane(a, b, a * p.x + b * p.y, "cut")
+    if kind == "parallel":  # an edge's line, moved by a few clip tolerances
+        a, b = q.y - p.y, p.x - q.x
+        shift = rng.uniform(-3.0, 3.0) * EPS * float(np.hypot(a, b)) * scale
+        hp = HalfPlane(a, b, a * p.x + b * p.y + shift, "cut")
+        return hp.flipped() if rng.random() < 0.5 else hp
+    # "sliver": keep a strip along an edge, or a corner at a vertex, about
+    # as wide as the merge tolerance, so that the clip's vertices merge
+    # down to fewer than three or just stay apart.
+    width = 10.0 ** rng.uniform(-12.0, -8.0) * scale
+    if rng.random() < 0.5:
+        a, b = p.y - q.y, q.x - p.x  # inward normal of edge p -> q
+    else:
+        cx = sum(v.x for v in vs) / n
+        cy = sum(v.y for v in vs) / n
+        a, b = cx - p.x, cy - p.y
+    norm = float(np.hypot(a, b)) or 1.0
+    a, b = a / norm, b / norm
+    return HalfPlane(a, b, a * p.x + b * p.y + width * rng.uniform(0.0, 1.0), "cut")
+
+
+class TestClipMatchesReference:
+    """``ConvexPolygon.clip`` runs the flat kernel; it must reproduce the
+    ``Point``-based clip it replaced bit for bit, including the scale
+    and area it carries into the next clip."""
+
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(["random", "vertex", "parallel", "sliver"]),
+                    min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_chained_clips(self, seed, kinds):
+        rng = np.random.default_rng(seed)
+        got = want = km_polygon(rng)
+        for kind in kinds:
+            hp = cut_plane(rng, want, kind)
+            got, want = got.clip(hp), reference_clip(want, hp)
+            assert clip_bits(got) == clip_bits(want)
+            # What the kernel's polygon carries is what its vertices give.
+            assert got._scale in (None, _coordinate_scale(got.vertices))
+            assert got._area in (None, polygon_area(got.vertices))
+            if want.is_empty():
+                return
+
+    def test_sliver_dedupes_to_nothing(self):
+        # Sutherland–Hodgman keeps the needle's tip (0, 0) and two
+        # crossings 0.01 m away and 2e-10 m apart, which merge: fewer
+        # than three vertices are left.
+        poly = ConvexPolygon([Point(0.0, 0.0), Point(1e6, -0.01), Point(1e6, 0.01)])
+        hp = HalfPlane(1.0, 0.0, 0.01, "cut")
+        got = poly.clip(hp)
+        assert got.vertices == () and got.is_empty()
+        assert clip_bits(got) == clip_bits(reference_clip(poly, hp))
 
 
 class TestSampling:
