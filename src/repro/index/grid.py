@@ -45,6 +45,21 @@ def _sq(v):
     return v * v
 
 
+def _cell_order(cx: np.ndarray, cy: np.ndarray, g: int) -> np.ndarray:
+    """The stable permutation that sorts points by row-major cell id
+    ``cy * g + cx``, ties in input order.
+
+    Two stable passes, the column first and then the row, give that
+    order.  While a cell coordinate fits in 16 bits, each pass is one of
+    NumPy's linear-time stable radix sorts; a wider grid sorts the cell
+    ids in one stable comparison sort.
+    """
+    if g > 1 << 16:
+        return np.argsort(cy * g + cx, kind="stable")
+    order = np.argsort(cx.astype(np.uint16), kind="stable")
+    return order[np.argsort(cy[order].astype(np.uint16), kind="stable")]
+
+
 class GridIndex:
     """Uniform-grid index over static 2-D points with deterministic ties."""
 
@@ -141,17 +156,22 @@ class GridIndex:
         self._ch = ch if ch > 1e-100 else 1.0
         cx = np.clip((xs - self._x0) / self._cw, 0.0, g - 1.0).astype(np.intp)
         cy = np.clip((ys - self._y0) / self._ch, 0.0, g - 1.0).astype(np.intp)
-        cell_ids = cy * g + cx
-        order = np.argsort(cell_ids, kind="stable")
+        order = _cell_order(cx, cy, g)
         self._xs = xs[order]
         self._ys = ys[order]
         #: storage position -> id rank (= index into the id-sorted lists)
-        self._rank = order.astype(np.intp)
-        self._starts = np.searchsorted(cell_ids[order], np.arange(g * g + 1))
+        self._rank = order
+        per_cell = np.bincount(cy * g + cx, minlength=g * g)
+        starts = np.zeros(g * g + 1, dtype=np.intp)
+        np.cumsum(per_cell, out=starts[1:])
+        self._starts = starts
         # 2-D prefix sums of per-cell counts: any block count in O(1).
-        per_cell = np.diff(self._starts).reshape(g, g)
+        # Rows first, then down the columns in place (integer sums, so
+        # the order does not matter).
         prefix = np.zeros((g + 1, g + 1), dtype=np.intp)
-        np.cumsum(np.cumsum(per_cell, axis=0), axis=1, out=prefix[1:, 1:])
+        inner = prefix[1:, 1:]
+        np.cumsum(per_cell.reshape(g, g), axis=1, out=inner)
+        np.cumsum(inner, axis=0, out=inner)
         self._prefix = prefix
 
     def __len__(self) -> int:
