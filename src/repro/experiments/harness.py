@@ -174,7 +174,10 @@ def _run_estimations(
     typically a closure over a built world, which a forked worker
     inherits without pickling.  Platforms without fork (and
     ``workers=1``) run sequentially; results always come back in seed
-    order.
+    order.  A seed whose worker dies is rerun in this process; a seed
+    that raises in its worker fails the call with the pool's
+    :class:`~repro.parallel.executor.ParallelRunError`, after the other
+    seeds have run.
     """
 
     def run_one(s: int) -> EstimationResult:
@@ -189,17 +192,17 @@ def _run_estimations(
     try:
         return run_pool(mp.get_context("fork"), workers, seeds, worker_main, retries=0)
     except ParallelRunError as exc:
-        results = exc.results
-    # A seed whose worker died (crash, OOM kill) or raised is rerun
-    # here: the run is deterministic and owns nothing shared.  With the
-    # parent's registry active, its metrics land directly; a seed that
-    # raises again raises its own error.
+        if len(exc.lost) < len(exc.failures):
+            raise  # a seed raised in its worker and would raise again here
+        results, lost = exc.results, exc.lost
+    # A seed whose worker died (crash, OOM kill) is rerun here: the run
+    # is deterministic and owns nothing shared.  With the parent's
+    # registry active, its metrics land directly.
     reg = _obs._active
-    for pos, result in enumerate(results):
-        if result is None:
-            results[pos] = run_one(seeds[pos])
-            if reg is not None:
-                reg.inc("runs_recovered_total")
+    for pos in sorted(lost):
+        results[pos] = run_one(seeds[pos])
+        if reg is not None:
+            reg.inc("runs_recovered_total")
     return results
 
 

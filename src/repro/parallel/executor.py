@@ -112,11 +112,15 @@ class ParallelRunError(RuntimeError):
     ``failures`` lists ``(run_index, spec_json, traceback_text)`` per
     failed run; ``results`` is the full result list with ``None`` at
     the failed slots, so completed work is never thrown away.
+    ``lost`` holds the indexes of the failed runs that did not raise:
+    their worker died or hung on every attempt, or no worker was left
+    to run them.  Every other failure raised in its worker.
     """
 
-    def __init__(self, failures: list, results: list):
+    def __init__(self, failures: list, results: list, lost: frozenset):
         self.failures = failures
         self.results = results
+        self.lost = lost
         lines = [f"{len(failures)} of {len(results)} parallel runs failed:"]
         for run_index, spec_json, tb in failures:
             last = tb.strip().splitlines()[-1] if tb.strip() else "unknown error"
@@ -333,8 +337,8 @@ def run_pool(ctx, workers: int, tasks: Sequence, target: Callable, args: tuple =
     hands :func:`serve` a ``run_task`` for the payloads.  ``retries``,
     ``run_deadline`` and ``on_progress`` are :func:`run_many_parallel`'s.
     Returns the results in task order; raises :class:`ParallelRunError`,
-    whose failures carry the failed tasks' payloads, once every task
-    has settled.
+    whose failures carry the failed tasks' payloads and whose ``lost``
+    names the tasks that did not raise, once every task has settled.
     """
     # Captured before forking: when a registry is active here, every
     # worker collects into a fresh one per run and the snapshots merge
@@ -352,6 +356,7 @@ def run_pool(ctx, workers: int, tasks: Sequence, target: Callable, args: tuple =
     pending: deque = deque((i, 0) for i in range(len(tasks)))
     results: list = [None] * len(tasks)
     failures: list = []
+    lost: set[int] = set()
     settled_runs: set[int] = set()
 
     def spawn_worker() -> _Worker:
@@ -369,6 +374,7 @@ def run_pool(ctx, workers: int, tasks: Sequence, target: Callable, args: tuple =
 
     def settle_failure(run_index: int, reason: str) -> None:
         failures.append((run_index, tasks[run_index], reason))
+        lost.add(run_index)
         settled_runs.add(run_index)
         pinc("parallel_runs_total", {"outcome": "crashed"})
 
@@ -505,7 +511,7 @@ def run_pool(ctx, workers: int, tasks: Sequence, target: Callable, args: tuple =
         for w in pool:
             w.conn.close()
     if failures:
-        raise ParallelRunError(failures, results)
+        raise ParallelRunError(failures, results, frozenset(lost))
     return results
 
 

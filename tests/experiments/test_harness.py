@@ -136,11 +136,15 @@ class TestForkWaveRecovery:
         assert reg.get("runs_recovered_total") == 1.0
 
     def test_seed_raising_in_every_process_fails_the_call(self):
-        """The failing seed raises in its worker and again when rerun in
-        the parent: the call raises that error instead of returning a
-        table."""
+        """The failing seed raises in its worker: the call raises that
+        error instead of returning a table, and does not pay for the
+        seed again in the parent."""
+        parent_pid = os.getpid()
+        in_parent = []
 
         def make_estimator(s):
+            if os.getpid() == parent_pid:
+                in_parent.append(s)
             if s == 1000:
                 raise ValueError(f"no estimator for seed {s}")
             return _FakeEstimator(100.0, 0.01)
@@ -148,6 +152,7 @@ class TestForkWaveRecovery:
         with pytest.raises(Exception, match="no estimator for seed 1000"):
             cost_to_reach(make_estimator, truth=100.0, targets=(0.1,),
                           n_runs=3, max_queries=500, workers=2)
+        assert 1000 not in in_parent
 
 
 @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),

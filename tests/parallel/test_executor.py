@@ -204,6 +204,7 @@ class TestFailures:
                               checkpoint_dir=str(ckpt), state_every=5)
         e = err.value
         assert [i for i, _s, _t in e.failures] == [1]
+        assert e.lost == set()                        # it raised; no worker died
         assert "census" in e.failures[0][1]          # the failing spec's JSON
         assert "census" in e.failures[0][2]          # the worker traceback
         assert e.results[1] is None

@@ -108,6 +108,7 @@ class TestCrashRecovery:
                               checkpoint_dir=str(tmp_path), state_every=5)
         e = err.value
         assert [i for i, _s, _t in e.failures] == [2]
+        assert e.lost == {2}
         assert "retries exhausted" in e.failures[0][2]
         assert e.results[2] is None
         assert e.results[0] is not None and e.results[1] is not None
