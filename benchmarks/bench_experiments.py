@@ -3,7 +3,7 @@
 Runs ``python -m repro.experiments NAME`` from a base and a changed
 source tree in alternation (the base first in even rounds, the change
 first in odd ones), keeps each side's best wall of ``--rounds``, checks
-that both sides print the same table and writes the walls as JSON::
+that both sides print the same table and records the walls as JSON::
 
     python benchmarks/bench_experiments.py BASE_SRC CHANGE_SRC [NAME ...]
         [--rounds N] [--out PATH]
@@ -16,6 +16,10 @@ its ``[NAME done in ...]`` line.  Every run has ``PYTHONHASHSEED=0``: the
 order in which a level region's pieces are summed still follows string
 hashing, so two hash seeds may print tables that differ in the last
 digits.  Exits 1 when the two sides print different tables.
+
+``--out`` is merged into, not overwritten: the experiments this run
+measured replace their entries, every other entry stays as it was, and
+each entry keeps the ``rounds`` and ``host`` it was measured with.
 """
 
 from __future__ import annotations
@@ -68,6 +72,27 @@ def compare(base: str, change: str, name: str, rounds: int) -> dict:
     return out
 
 
+def merge(path: str, ran: dict) -> dict:
+    """The record at ``path`` (if any) with the entries of ``ran`` in
+    place of its own of the same names."""
+    record = {
+        "command": "python -m repro.experiments NAME, PYTHONHASHSEED=0",
+        "best_of": "min wall per side; rounds alternate which side runs first",
+        "experiments": {},
+    }
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as f:
+            old = json.load(f)
+        for name, entry in old["experiments"].items():
+            # A file written before the entries carried their own
+            # conditions holds them once, at the top.
+            entry.setdefault("rounds", old.get("rounds"))
+            entry.setdefault("host", old.get("host"))
+            record["experiments"][name] = entry
+    record["experiments"].update(ran)
+    return record
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base_src")
@@ -76,20 +101,17 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--out", default="BENCH_experiments.json")
     args = parser.parse_args(argv)
-    record = {
-        "command": "python -m repro.experiments NAME, PYTHONHASHSEED=0",
-        "rounds": args.rounds,
-        "best_of": "min wall per side; rounds alternate which side runs first",
-        "host": {"python": platform.python_version(), "cpus": os.cpu_count(),
-                 "machine": platform.machine()},
-        "experiments": {name: compare(args.base_src, args.change_src, name, args.rounds)
-                        for name in args.names},
-    }
+    host = {"python": platform.python_version(), "cpus": os.cpu_count(),
+            "machine": platform.machine()}
+    ran = {name: {"rounds": args.rounds, "host": host,
+                  **compare(args.base_src, args.change_src, name, args.rounds)}
+           for name in args.names}
+    record = merge(args.out, ran)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
-    print(json.dumps(record["experiments"], indent=1))
-    return 0 if all(e["tables_identical"] for e in record["experiments"].values()) else 1
+    print(json.dumps(ran, indent=1))
+    return 0 if all(e["tables_identical"] for e in ran.values()) else 1
 
 
 if __name__ == "__main__":

@@ -168,16 +168,21 @@ def build_level_region(
         region.pieces[frozenset(range(len(cons)))] = base
         return region
 
-    seed_subset = region.violated_subset(seed)
+    chain = _ClipChain(cons, base)
+    # region.violated_subset(seed) from the chain's EPS * scale
+    # tolerances: the same slacks against the same products.
+    x, y = seed.x, seed.y
+    seed_subset = frozenset(
+        j for j, (a, b, c, tol) in enumerate(chain.keep) if a * x + b * y - c > tol
+    )
     if len(seed_subset) > level:
         raise ValueError(
             f"seed violates {len(seed_subset)} constraints; level is {level}"
         )
 
-    chain = _ClipChain(cons, base)
     start = chain.piece(seed_subset)
     if start.is_empty():
-        start, seed_subset = _rescue_seed(region, seed, chain.piece, level)
+        start, seed_subset = _rescue_seed(region, seed, seed_subset, chain.piece, level)
         if start.is_empty():
             return region
 
@@ -267,14 +272,15 @@ class _ClipChain:
         return ConvexPolygon._from_flat(xs, ys, labels, scale, area)
 
 
-def _rescue_seed(region: LevelRegion, seed: Point, piece_for, level: int):
+def _rescue_seed(region: LevelRegion, seed: Point, base_subset: frozenset,
+                 piece_for, level: int):
     """Seed sits on a piece boundary (degenerate clip).  Try flipping each
-    near-active constraint to land in an adjacent non-empty piece."""
+    near-active constraint of its violated subset ``base_subset`` to land
+    in an adjacent non-empty piece."""
     near = [
         j for j, hp in enumerate(region.constraints)
         if abs(hp.value(seed)) <= 1e-6 * hp.scale()
     ]
-    base_subset = region.violated_subset(seed)
     for j in near:
         candidate = base_subset ^ {j}
         if len(candidate) > level:

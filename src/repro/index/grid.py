@@ -60,6 +60,20 @@ def _cell_order(cx: np.ndarray, cy: np.ndarray, g: int) -> np.ndarray:
     return order[np.argsort(cy[order].astype(np.uint16), kind="stable")]
 
 
+def _id_lists(items) -> tuple[list, np.ndarray]:
+    """The id-sorted items as a list, for the scalar paths, and as an
+    object array, for the batch kernels' fancy-indexed emission.
+
+    ``from_arrays`` passes the object array (one conversion of its
+    typed ids makes both), the triple-list constructor its list.
+    """
+    if isinstance(items, np.ndarray):
+        return items.tolist(), items
+    arr = np.empty(len(items), dtype=object)
+    arr[:] = items
+    return items, arr
+
+
 class GridIndex:
     """Uniform-grid index over static 2-D points with deterministic ties."""
 
@@ -109,18 +123,23 @@ class GridIndex:
         self._build(
             np.ascontiguousarray(xy[order, 0], dtype=np.float64),
             np.ascontiguousarray(xy[order, 1], dtype=np.float64),
-            items_arr[order].tolist(),
+            items_arr[order].astype(object),
             target_per_cell,
         )
         return self
 
     def _build(
-        self, xs: np.ndarray, ys: np.ndarray, items: list, target_per_cell: float
+        self, xs: np.ndarray, ys: np.ndarray, items, target_per_cell: float
     ) -> None:
-        """Shared grid construction over id-sorted coordinate arrays."""
-        self._items = items
+        """Shared grid construction over id-sorted coordinate arrays and
+        items (see :func:`_id_lists`)."""
+        self._items, self._items_arr = _id_lists(items)
         n = len(items)
         self._size = n
+        #: The last scalar answer's final cell block ``(c0, c1, r0, r1,
+        #: storage indices)``, tried first by the next :meth:`knn`; it
+        #: only decides which block is ranked, never an answer.
+        self._last = None
         # Counter lifecycle: counters live for the *instance* and survive
         # internal rebuilds — only a fresh instance or an explicit
         # reset_stats() zeroes them (they used to reset silently here).
@@ -130,10 +149,6 @@ class GridIndex:
                 "batch_chunked": 0,
                 "batch_fallback": 0,
             }
-        # Object array mirror of the id-sorted items, for vectorized
-        # fancy-indexed emission in the batch kernels.
-        self._items_arr = np.empty(n, dtype=object)
-        self._items_arr[:] = self._items
         if n == 0:
             return
         # A deliberately fine grid: sparse cells cost only prefix-sum
@@ -232,48 +247,71 @@ class GridIndex:
         x = float(x)
         y = float(y)
         kk = min(k, self._size)
-        g = self._g
         cx = self._cell_x(x)
         cy = self._cell_y(y)
-        # Grow the block geometrically (prefix-sum counts are O(1)) until
-        # it holds kk points; a bigger block only tightens the k-th bound.
-        prefix = self._prefix
-        r = 0
-        while True:
-            c0 = max(cx - r, 0)
-            c1 = min(cx + r, g - 1)
-            r0 = max(cy - r, 0)
-            r1 = min(cy + r, g - 1)
-            cnt = prefix[r1 + 1, c1 + 1] - prefix[r0, c1 + 1] - prefix[r1 + 1, c0] + prefix[r0, c0]
-            if cnt >= kk:
-                break
-            r = 2 * r + 1
-        cand = self._block_slice(c0, c1, r0, r1)
-        dx = self._xs[cand] - x
-        dy = self._ys[cand] - y
-        d2 = dx * dx + dy * dy
-        kth2 = np.partition(d2, kk - 1)[kk - 1]
-        # The true k-th distance is at most sqrt(kth2); regather over the
-        # cells covering that disk if the block doesn't already.
-        reach = math.sqrt(kth2) * (1.0 + _SLACK)
-        dc0 = self._cell_x(x - reach)
-        dc1 = self._cell_x(x + reach)
-        dr0 = self._cell_y(y - reach)
-        dr1 = self._cell_y(y + reach)
-        if not (c0 <= dc0 and dc1 <= c1 and r0 <= dr0 and dr1 <= r1):
-            cand = self._block_slice(
-                min(dc0, c0), max(dc1, c1), min(dr0, r0), max(dr1, r1)
-            )
-            dx = self._xs[cand] - x
-            dy = self._ys[cand] - y
-            d2 = dx * dx + dy * dy
-            kth2 = np.partition(d2, kk - 1)[kk - 1]
-        pool = cand[d2 <= kth2]
+        # Successive queries of an edge search converge on one spot: try
+        # the previous answer's final block first (see _last in _build).
+        pool = None
+        last = self._last
+        if last is not None:
+            c0, c1, r0, r1, cand = last
+            if c0 <= cx <= c1 and r0 <= cy <= r1 and cand.size >= kk:
+                d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, cand)
+                if wider is None:
+                    pool = cand[d2 <= kth2]
+        if pool is None:
+            # Grow the block geometrically from the query's own cell
+            # (prefix-sum counts are O(1)) until it holds kk points; a
+            # bigger block only tightens the k-th bound.
+            g = self._g
+            prefix = self._prefix
+            r = 0
+            while True:
+                c0 = max(cx - r, 0)
+                c1 = min(cx + r, g - 1)
+                r0 = max(cy - r, 0)
+                r1 = min(cy + r, g - 1)
+                cnt = prefix[r1 + 1, c1 + 1] - prefix[r0, c1 + 1] - prefix[r1 + 1, c0] + prefix[r0, c0]
+                if cnt >= kk:
+                    break
+                r = 2 * r + 1
+            cand = self._block_slice(c0, c1, r0, r1)
+            d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, cand)
+            if wider is not None:
+                c0, c1, r0, r1 = wider
+                cand = self._block_slice(c0, c1, r0, r1)
+                dx = self._xs[cand] - x
+                dy = self._ys[cand] - y
+                d2 = dx * dx + dy * dy
+                kth2 = np.partition(d2, kk - 1)[kk - 1]
+            self._last = (c0, c1, r0, r1, cand)
+            pool = cand[d2 <= kth2]
         ranked = sorted(
             (_sq(self._xs[j] - x) + _sq(self._ys[j] - y), int(self._rank[j]))
             for j in pool
         )[:kk]
         return [(math.sqrt(dd), self._items[rk]) for dd, rk in ranked]
+
+    def _kth_bound(self, x, y, kk, c0, c1, r0, r1, cand):
+        """Squared distances from ``(x, y)`` over a block of at least
+        ``kk`` points, their ``kk``-th smallest ``kth2``, and ``None``
+        when the block covers the cells of the disk of radius
+        ``sqrt(kth2)``, else the smallest block covering both.
+
+        The true k-th distance is at most ``sqrt(kth2)``, so a covering
+        block holds every point within it, ties included."""
+        dx = self._xs[cand] - x
+        dy = self._ys[cand] - y
+        d2 = dx * dx + dy * dy
+        kth2 = np.partition(d2, kk - 1)[kk - 1]
+        reach = math.sqrt(kth2) * (1.0 + _SLACK)
+        dc0 = self._cell_x(x - reach)
+        dc1 = self._cell_x(x + reach)
+        dr0 = self._cell_y(y - reach)
+        dr1 = self._cell_y(y + reach)
+        if c0 <= dc0 and dc1 <= c1 and r0 <= dr0 and dr1 <= r1:
+            return d2, kth2, None
+        return d2, kth2, (min(dc0, c0), max(dc1, c1), min(dr0, r0), max(dr1, r1))
 
     def within_radius(self, x: float, y: float, radius: float) -> list[tuple[float, Hashable]]:
         if self._size == 0 or radius < 0.0:

@@ -43,7 +43,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from ..obs import registry as _obs
-from .grid import GridIndex, _SLACK
+from .grid import GridIndex, _SLACK, _id_lists
 
 __all__ = ["ShardedGridIndex", "auto_tiles_per_side"]
 
@@ -126,7 +126,7 @@ class ShardedGridIndex:
         self._build(
             np.ascontiguousarray(xy[order, 0], dtype=np.float64),
             np.ascontiguousarray(xy[order, 1], dtype=np.float64),
-            items_arr[order].tolist(),
+            items_arr[order].astype(object),
             tiles_per_side,
             target_per_cell,
         )
@@ -136,16 +136,15 @@ class ShardedGridIndex:
         self,
         xs: np.ndarray,
         ys: np.ndarray,
-        items: list,
+        items,
         tiles_per_side: int | None,
         target_per_cell: float,
     ) -> None:
-        """Tile binning over id-sorted coordinate arrays (tiles stay lazy)."""
-        self._items = items
+        """Tile binning over id-sorted coordinate arrays and items (see
+        ``grid._id_lists``; tiles stay lazy)."""
+        self._items, self._items_arr = _id_lists(items)
         n = len(items)
         self._size = n
-        self._items_arr = np.empty(n, dtype=object)
-        self._items_arr[:] = items
         self._target_per_cell = target_per_cell
         # Counter lifecycle: instance-lifetime, like GridIndex — internal
         # rebuilds preserve them; only reset_stats() zeroes.

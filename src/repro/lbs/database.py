@@ -245,7 +245,9 @@ class SpatialDatabase:
     def _positions(self, tids: Sequence[int]) -> np.ndarray:
         if self._contiguous:
             pos = np.asarray(tids, dtype=np.int64) - self._tid0
-            if pos.size and (pos.min() < 0 or pos.max() >= len(self._tids)):
+            # One reduction checks both ends: a negative position wraps
+            # above every valid one as uint64.
+            if pos.size and int(pos.view(np.uint64).max()) >= len(self._tids):
                 bad = tids[int(np.argmax((pos < 0) | (pos >= len(self._tids))))]
                 raise KeyError(bad)
             return pos

@@ -151,22 +151,19 @@ class AttributeProjection:
             if locs_list is None:
                 locations = self.locations
                 locs_list = [locations[tid] for _d, tid in ranked]
-            results = tuple(
-                ReturnedTuple(
-                    rank=rank, tid=tid, attrs=attrs,
-                    location=loc, distance=d,
-                )
+            results = tuple([
+                ReturnedTuple(rank, tid, attrs, loc, d)
                 for rank, ((d, tid), attrs, loc) in enumerate(
                     zip(ranked, attrs_list, locs_list), start=1
                 )
-            )
+            ])
         else:
-            results = tuple(
-                ReturnedTuple(rank=rank, tid=tid, attrs=attrs)
+            results = tuple([
+                ReturnedTuple(rank, tid, attrs)
                 for rank, ((_d, tid), attrs) in enumerate(
                     zip(ranked, attrs_list), start=1
                 )
-            )
+            ])
         return QueryAnswer(point, results)
 
     def report(self, point: Point, ranked: Sequence[Ranked]) -> QueryAnswer:

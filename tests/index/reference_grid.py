@@ -3,7 +3,8 @@
 ``reference_grid(xy, items, target_per_cell)`` lays out the arrays
 ``GridIndex.from_arrays`` builds: the id sort, then one stable argsort
 of the row-major cell ids, ``_starts`` by ``searchsorted`` over
-``g * g + 1`` probes and the 2-D prefix sums of ``np.diff(_starts)``.
+``g * g + 1`` probes and the 2-D prefix sums of ``np.diff(_starts)``;
+the ids as a list and as an object array filled from that list.
 The tests require the library's build to produce the same arrays.
 """
 
@@ -36,6 +37,10 @@ def reference_grid(xy: np.ndarray, items, target_per_cell: float = 0.5) -> dict:
     per_cell = np.diff(starts).reshape(g, g)
     prefix = np.zeros((g + 1, g + 1), dtype=np.intp)
     np.cumsum(np.cumsum(per_cell, axis=0), axis=1, out=prefix[1:, 1:])
+    items_sorted = items_arr[ids].tolist()
+    # The object mirror of the id-sorted items, filled from their list.
+    items_mirror = np.empty(n, dtype=object)
+    items_mirror[:] = items_sorted
     return {
         "_g": g,
         "_xs": xs[order],
@@ -43,5 +48,6 @@ def reference_grid(xy: np.ndarray, items, target_per_cell: float = 0.5) -> dict:
         "_rank": order.astype(np.intp),
         "_starts": starts,
         "_prefix": prefix,
-        "_items": items_arr[ids].tolist(),
+        "_items": items_sorted,
+        "_items_arr": items_mirror,
     }

@@ -4,7 +4,7 @@ argsort + searchsorted build they replaced (``reference_grid``)."""
 import numpy as np
 import pytest
 
-from repro.index import GridIndex
+from repro.index import GridIndex, ShardedGridIndex
 from repro.index.grid import _cell_order
 from reference_grid import reference_grid
 
@@ -44,7 +44,14 @@ def test_build_matches_reference(name, shuffled_ids):
         value = getattr(got, attr)
         assert value.dtype == want[attr].dtype, attr
         assert np.array_equal(value, want[attr]), attr
-    assert got._items == want["_items"]
+    # The ids keep their values and element types (Python int for int64
+    # ids), as a list and as its object array, in the sharded index too.
+    for index in (got, ShardedGridIndex.from_arrays(xy, items)):
+        assert index._items == want["_items"]
+        assert index._items_arr.dtype == want["_items_arr"].dtype
+        assert index._items_arr.tolist() == want["_items_arr"].tolist()
+        for ids in (index._items, index._items_arr):
+            assert {type(v) for v in ids} == {int}
 
 
 @pytest.mark.parametrize("g", [1 << 16, (1 << 16) + 1, 100_000])

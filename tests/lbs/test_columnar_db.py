@@ -229,6 +229,16 @@ class TestFromColumns:
         assert from_array == db_cols.gather_attrs([4, 9])
         assert db_cols.gather_attrs(np.empty(0, dtype=np.int64)) == []
 
+    @pytest.mark.parametrize("bad", [-1, -(2**62), 200, 2**62])
+    def test_gather_attrs_names_the_first_bad_id(self, bad):
+        # Ids 0..199 are contiguous: one range check covers both ends,
+        # and the KeyError names the first id outside the range.
+        db_cols, _ = self.make_pair()
+        for tids in ([4, bad, 9, -5, 300], np.array([4, bad, 9, -5, 300])):
+            with pytest.raises(KeyError) as err:
+                db_cols.gather_attrs(tids)
+            assert err.value.args == (bad,)
+
     def test_duplicate_ids_rejected(self):
         xy = np.zeros((2, 2))
         with pytest.raises(ValueError, match="duplicate tuple id 7"):
