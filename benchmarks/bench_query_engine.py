@@ -164,11 +164,10 @@ def run_bench(quick: bool = False, k: int = K, db_size: int = DB_SIZE) -> dict:
     ingest_repeats = 1 if quick else 2
     t_row, db_row = _best_of(_row_build, ingest_repeats)
     t_col, db_col = _best_of(_columnar_build, ingest_repeats)
-    probe = Point(123.0, 321.0)
     if (
         db_col.tid_list() != db_row.tid_list()
-        or [(d, t.tid) for d, t in db_col.knn(probe, 5)]
-        != [(d, t.tid) for d, t in db_row.knn(probe, 5)]
+        or make_index_arrays(db_col.coords, db_col.tids).knn(123.0, 321.0, 5)
+        != make_index_arrays(db_row.coords, db_row.tids).knn(123.0, 321.0, 5)
         or db_col.ground_truth_sum("score") != db_row.ground_truth_sum("score")
     ):
         raise AssertionError("columnar ingest diverges from the row-path build")

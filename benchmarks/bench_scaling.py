@@ -14,9 +14,10 @@ matrix prominence) is measured against.  Recorded per combination:
 * obfuscated-interface build time down both paths — the ``{tid: Point}``
   jitter dict + per-point clamp loop vs one columnar ``(N, 2)`` draw +
   vectorized clip/clamp + array-native index — and their speedup,
-* index build time per backend (plus the index's own ``counters()``
-  when it keeps them — the grid's chunked-vs-fallback split and the
-  sharded index's settled/escalated routing),
+* index build time per backend (plus the batch kernels' path split,
+  read from a fresh ``repro.obs`` registry around the cell's batch
+  loops — the grid's chunked-vs-fallback split and the sharded index's
+  settled/escalated routing),
 * kNN throughput at each batch size (``1`` = the scalar single-query
   path; larger sizes go through the vectorized ``knn_batch`` kernel in
   chunks of that size).
@@ -83,16 +84,23 @@ CACHE_FLOOR_100K = 2.0
 #: machine that has the cores, so the assertion is cpu-gated.
 PARALLEL_FLOOR_4W = 3.0
 #: GridIndex's batched kernel may drop heavy-tail queries to the exact
-#: per-query path; its ``counters()`` make that visible, and this
-#: budget caps the fraction (measured: 0% on paper/clustered at 10k-1M,
+#: per-query path; ``index_batch_fallback_total`` makes that visible, and
+#: this budget caps the fraction (measured: 0% on paper/clustered at 10k-1M,
 #: 0.05% on wechat-like-1m — a regression to per-query search shows up
 #: as a jump toward 1.0 long before wall-clock makes it obvious).
 GRID_FALLBACK_BUDGET = 0.05
 #: Batched kNN over the clustered world must beat its own scalar path
-#: by this factor from 100k points up (measured 5.8x at 100k, ~6x at
-#: 1M; the 10k cells sit at ~4.7x and stay under the generic
-#: QUICK_BATCH_FLOOR instead).
+#: by this factor from 100k points up (the 10k cells sit at ~4.7x and
+#: stay under the generic QUICK_BATCH_FLOOR instead).  The pair is timed
+#: apart from the sweep, as the best of CLUSTERED_GATE_ROUNDS interleaved
+#: rounds after one warm-up: at 1M the sweep's single-shot cells read
+#: 4.4-10.5x across invocations with no code change, the best of five
+#: rounds 5.9-6.3x.
 CLUSTERED_BATCH_FLOOR = 5.0
+CLUSTERED_GATE_ROUNDS = 5
+CLUSTERED_GATE_QUERIES = 4_000
+#: The gate's own query stream, so the sweep's streams stay as they were.
+CLUSTERED_GATE_SEED = 5
 #: Instrumentation must stay free when nobody collects *and* near-free
 #: when someone does: grid ``knn_batch`` with an active obs registry may
 #: run at most this fraction slower than with registration disabled
@@ -110,6 +118,27 @@ DEFAULT_OUT = _REPO_ROOT / "BENCH_scaling.json"
 #: which uploads this path as its artifact) never clobbers the committed
 #: full-scale trajectory.
 DEFAULT_QUICK_OUT = _REPO_ROOT / "BENCH_scaling_quick.json"
+
+
+#: The batch-path split recorded per backend: ``index_<key>_total``.
+_BATCH_KEYS = {
+    "grid": ("batch_queries", "batch_chunked", "batch_fallback"),
+    "sharded": ("batch_queries", "batch_settled", "batch_escalated", "batch_scalar"),
+}
+
+
+def _batch_stats(reg: obs.MetricsRegistry, backend: str) -> dict:
+    labels = {"backend": backend}
+    return {key: int(reg.get(f"index_{key}_total", labels) or 0)
+            for key in _BATCH_KEYS[backend]}
+
+
+def _uniform_queries(region, nq: int, rng: np.random.Generator) -> list:
+    return [
+        (float(region.x0 + ux * region.width),
+         float(region.y0 + uy * region.height))
+        for ux, uy in rng.random((nq, 2))
+    ]
 
 
 def _n_queries(backend: str, n: int, batch: int, quick: bool) -> int:
@@ -248,12 +277,7 @@ def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
     index = make_index_arrays(db.coords, db.tids, "grid")
     nq = OBS_OVERHEAD_QUERIES[quick]
     batch = 512
-    u = rng.random((nq, 2))
-    queries = [
-        (float(region.x0 + ux * region.width),
-         float(region.y0 + uy * region.height))
-        for ux, uy in u
-    ]
+    queries = _uniform_queries(region, nq, rng)
 
     def run_once() -> float:
         gc.collect()
@@ -278,6 +302,44 @@ def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
         "disabled_seconds": round(t_off, 4),
         "enabled_seconds": round(t_on, 4),
         "overhead_frac": round(t_on / t_off - 1.0, 4),
+    }
+
+
+def bench_batch_gate(index, region) -> dict:
+    """The CLUSTERED_BATCH_FLOOR pair: scalar vs top-batch ``knn`` over
+    the same queries, one warm-up, then interleaved rounds, best round
+    of each side (a single shot of each swings with host drift)."""
+    batch = max(BATCH_SIZES)
+    nq = CLUSTERED_GATE_QUERIES
+    queries = _uniform_queries(region, nq, np.random.default_rng(CLUSTERED_GATE_SEED))
+
+    def scalar() -> None:
+        for x, y in queries:
+            index.knn(x, y, K)
+
+    def batched() -> None:
+        for i in range(0, nq, batch):
+            index.knn_batch(queries[i:i + batch], K)
+
+    def timed(fn) -> float:
+        gc.collect()
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
+
+    scalar()
+    batched()
+    t_scalar = t_batch = float("inf")
+    for _ in range(CLUSTERED_GATE_ROUNDS):
+        t_scalar = min(t_scalar, timed(scalar))
+        t_batch = min(t_batch, timed(batched))
+    return {
+        "rounds": CLUSTERED_GATE_ROUNDS,
+        "n_queries": nq,
+        "batch": batch,
+        "scalar_qps": round(nq / t_scalar, 1),
+        "batch_qps": round(nq / t_batch, 1),
+        "ratio": round(t_scalar / t_batch, 2),
     }
 
 
@@ -318,36 +380,46 @@ def bench_world(name: str, n: int, quick: bool, rng: np.random.Generator) -> dic
         index_s = time.perf_counter() - t0
         qps: dict[str, float] = {}
         n_queries: dict[str, int] = {}
+        # The batch loops' path split, counted in a registry of this
+        # cell alone (the sharded index's inner tiles count as "grid").
+        # The scalar loop stays outside it: a registry costs each
+        # scalar query a counter increment.
+        cell = obs.MetricsRegistry()
         for batch in BATCH_SIZES:
             nq = _n_queries(backend, n, batch, quick)
-            u = rng.random((nq, 2))
-            queries = [
-                (float(region.x0 + ux * region.width),
-                 float(region.y0 + uy * region.height))
-                for ux, uy in u
-            ]
+            queries = _uniform_queries(region, nq, rng)
             gc.collect()
             t0 = time.perf_counter()
             if batch == 1:
                 for x, y in queries:
                     index.knn(x, y, K)
             else:
-                for i in range(0, nq, batch):
-                    index.knn_batch(queries[i:i + batch], K)
+                with obs.collecting(cell):
+                    for i in range(0, nq, batch):
+                        index.knn_batch(queries[i:i + batch], K)
             dt = time.perf_counter() - t0
             qps[str(batch)] = round(nq / dt, 1)
             n_queries[str(batch)] = nq
+        outer = obs.active()
+        if outer is not None:
+            outer.merge(cell)
         entry = {
             "index_build_seconds": round(index_s, 4),
             "n_queries": n_queries,
             "qps": qps,
         }
-        counters_fn = getattr(index, "counters", None)
-        if counters_fn is not None:
-            # Routing/fallback counters (grid: chunked vs per-query
-            # fallback; sharded: settled vs escalated, tiles built) —
-            # the no-longer-silent heavy-tail accounting.
-            entry["stats"] = counters_fn()
+        if backend in _BATCH_KEYS:
+            stats = _batch_stats(cell, backend)
+            if backend == "sharded":
+                stats["inner"] = _batch_stats(cell, "grid")
+                # Tile structure, not counts: the scalar loop builds
+                # tiles too, outside the cell registry.
+                stats["tiles_per_side"] = index.tiles_per_side
+                stats["tiles_built"] = sum(t is not None for t in index._tiles)
+                stats["tiles_nonempty"] = int(np.count_nonzero(np.diff(index._starts)))
+            entry["stats"] = stats
+        if backend == "grid" and name == "paper/clustered" and n >= 100_000:
+            entry["batch_gate"] = bench_batch_gate(index, region)
         row["backends"][backend] = entry
     # Last: its row path materializes (and caches) every LbsTuple on
     # world.db, a population the query timings above must never carry.
@@ -432,9 +504,21 @@ def check_report(report: dict) -> None:
         if "grid" in row["backends"]:
             # The clustered regression budget: the batched kernel's
             # per-query fallback must stay a rounding error, or the
-            # batch speedups below are quietly rotting.
-            stats = row["backends"]["grid"].get("stats", {})
-            total = stats.get("batch_queries", 0)
+            # batch speedups below are quietly rotting.  The split must
+            # account for every batched query the sweep ran, or the
+            # budget would pass on counts that were never collected.
+            grid = row["backends"]["grid"]
+            stats = grid["stats"]
+            total = stats["batch_queries"]
+            ran = sum(nq for b, nq in grid["n_queries"].items() if int(b) > 1)
+            assert total == ran, (
+                f"{row['world']}@{row['n']}: grid stats count {total} batch "
+                f"queries, the sweep ran {ran}"
+            )
+            assert stats["batch_chunked"] + stats["batch_fallback"] == total, (
+                f"{row['world']}@{row['n']}: grid chunked + fallback != "
+                f"batch queries ({stats})"
+            )
             if total:
                 frac = stats["batch_fallback"] / total
                 assert frac <= GRID_FALLBACK_BUDGET, (
@@ -452,12 +536,11 @@ def check_report(report: dict) -> None:
             )
         if (row["world"] == "paper/clustered" and row["n"] >= 100_000
                 and "grid" in row["backends"]):
-            g = row["backends"]["grid"]["qps"]
-            top_batch = str(max(map(int, g)))
-            assert g[top_batch] >= CLUSTERED_BATCH_FLOOR * g["1"], (
+            gate = row["backends"]["grid"]["batch_gate"]
+            assert gate["ratio"] >= CLUSTERED_BATCH_FLOOR, (
                 f"paper/clustered@{row['n']}: batched kNN only "
-                f"{g[top_batch] / g['1']:.1f}x the scalar path "
-                f"(floor {CLUSTERED_BATCH_FLOOR}x)"
+                f"{gate['ratio']:.1f}x the scalar path, best of "
+                f"{gate['rounds']} rounds (floor {CLUSTERED_BATCH_FLOOR}x)"
             )
         cache = row["world_cache_seconds"]
         assert cache["hit"] > 0 and cache["store"] > 0

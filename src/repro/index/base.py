@@ -4,6 +4,9 @@ Every spatial index in :mod:`repro.index` answers the same four
 questions — single-point kNN, single-point radius search, and their
 batched counterparts — under one shared contract:
 
+* query coordinates are finite: the simulated services reject a NaN or
+  infinite query point before it reaches an index, so no backend
+  defines an answer for one;
 * distances are Euclidean with one exact realization: candidates are
   *ordered* by the squared distance ``dx*dx + dy*dy`` and the returned
   value is ``sqrt`` of it.  Multiplication, addition, and square root
@@ -14,7 +17,7 @@ batched counterparts — under one shared contract:
 * answers are sorted by ``(distance, item)`` — ties in distance are
   broken by item id, making the simulated service deterministic (the
   paper's "general position" assumption made real);
-* ``within_radius``/``range_batch`` are inclusive (``sqrt(d2) <= radius``).
+* ``within_radius``/``range_batch_ids`` are inclusive (``sqrt(d2) <= radius``).
 
 Backends are interchangeable: :class:`~repro.index.kdtree.KdTree`
 (pure-Python best-first search, great single-query latency on small
@@ -42,7 +45,6 @@ __all__ = [
     "QueryEngineConfig",
     "make_index",
     "make_index_arrays",
-    "csr_from_range_lists",
 ]
 
 #: One kNN / radius answer: ``(distance, item)``.
@@ -69,16 +71,12 @@ class SpatialIndex(Protocol):
     ) -> list[list[Neighbor]]:
         """Per-point kNN answers, identical to ``[knn(x, y, k) ...]``."""
 
-    def range_batch(
-        self, points: Sequence[tuple[float, float]], radius: float
-    ) -> list[list[Neighbor]]:
-        """Per-point radius answers, identical to looped ``within_radius``."""
-
     def range_batch_ids(self, points: Sequence[tuple[float, float]], radius: float):
-        """CSR form of ``range_batch``: ``(counts, items)`` NumPy arrays —
-        per-point in-radius item ids concatenated in answer order, with
-        no ``(distance, item)`` tuples materialized.  The candidate feed
-        for vectorized ranking kernels that re-score in bulk."""
+        """Per-point radius answers in CSR form: ``(counts, items)``
+        NumPy arrays — each point's ``within_radius`` item ids
+        concatenated in answer order, with no ``(distance, item)``
+        tuples materialized.  The candidate feed for vectorized ranking
+        kernels that re-score in bulk."""
 
 
 @dataclass(frozen=True)
@@ -137,19 +135,6 @@ class QueryEngineConfig:
             raise ValueError("cache_size must be non-negative")
         if self.snap_resolution is not None and self.snap_resolution <= 0.0:
             raise ValueError("snap_resolution must be positive")
-
-
-def csr_from_range_lists(lists: Sequence[Sequence[Neighbor]]) -> tuple:
-    """``(counts, items)`` CSR form of a ``range_batch`` result.
-
-    The shared adapter behind ``range_batch_ids`` on backends without a
-    native CSR kernel (KdTree, BruteForceIndex); GridIndex owns a
-    vectorized implementation that never builds the tuple lists.
-    """
-    counts = np.array([len(lst) for lst in lists], dtype=np.int64)
-    items = np.empty(int(counts.sum()), dtype=object)
-    items[:] = [item for lst in lists for _d, item in lst]
-    return counts, items
 
 
 def _backends() -> dict:

@@ -130,27 +130,19 @@ class BruteForceIndex:
                 )
         return results
 
-    def range_batch(
-        self, points: Sequence[tuple[float, float]], radius: float
-    ) -> list[list[tuple[float, Hashable]]]:
-        if len(self._points) == 0 or radius < 0.0:
-            return [[] for _ in points]
-        results: list[list[tuple[float, Hashable]]] = []
-        for d2mat in self._chunks(points):
-            dmat = np.sqrt(d2mat)
-            for row in range(d2mat.shape[0]):
-                pool = np.nonzero(dmat[row] <= radius)[0]
-                seg = sorted(
-                    (d2mat[row, j], self._items[j], dmat[row, j]) for j in pool
-                )
-                results.append([(d, item) for _d2, item, d in seg])
-        return results
-
     def range_batch_ids(
         self, points: Sequence[tuple[float, float]], radius: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(counts, items)`` form of :meth:`range_batch` — per-point
-        in-radius item ids concatenated, no distance tuples built."""
-        from .base import csr_from_range_lists
-
-        return csr_from_range_lists(self.range_batch(points, radius))
+        """CSR ``(counts, items)``: each point's in-radius item ids in
+        :meth:`within_radius` order, concatenated — no distance tuples
+        built."""
+        sel = []
+        for d2mat in self._chunks(points):
+            inside = np.sqrt(d2mat) <= radius
+            for d2, mask in zip(d2mat, inside):
+                pool = np.nonzero(mask)[0]
+                sel.append(pool[np.lexsort((self._id_rank[pool], d2[pool]))])
+        counts = np.array([s.size for s in sel], dtype=np.int64)
+        items = np.empty(int(counts.sum()), dtype=object)
+        items[:] = [self._items[j] for s in sel for j in s.tolist()]
+        return counts, items

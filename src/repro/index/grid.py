@@ -140,15 +140,6 @@ class GridIndex:
         #: storage indices)``, tried first by the next :meth:`knn`; it
         #: only decides which block is ranked, never an answer.
         self._last = None
-        # Counter lifecycle: counters live for the *instance* and survive
-        # internal rebuilds — only a fresh instance or an explicit
-        # reset_stats() zeroes them (they used to reset silently here).
-        if getattr(self, "_stats", None) is None:
-            self._stats = {
-                "batch_queries": 0,
-                "batch_chunked": 0,
-                "batch_fallback": 0,
-            }
         if n == 0:
             return
         # A deliberately fine grid: sparse cells cost only prefix-sum
@@ -191,29 +182,6 @@ class GridIndex:
 
     def __len__(self) -> int:
         return self._size
-
-    def counters(self) -> dict:
-        """Batch-kernel path counters (a copy).
-
-        ``batch_chunked`` counts queries answered by the vectorized
-        padded-partition kernel, ``batch_fallback`` those that exceeded
-        the candidate cap and took the single-query search instead — the
-        heavy-tail path the clustered-world regression budget watches
-        (``benchmarks/bench_scaling.py``).  They sum to
-        ``batch_queries``.
-
-        Lifecycle: counters accumulate for the life of the instance —
-        internal rebuilds never zero them; only :meth:`reset_stats`
-        does.  The same counts stream to the process-wide registry
-        (``index_batch_*_total{backend="grid"}``) when :mod:`repro.obs`
-        is enabled.
-        """
-        return dict(self._stats)
-
-    def reset_stats(self) -> None:
-        """Explicitly zero the batch-path counters (nothing else does)."""
-        for key in self._stats:
-            self._stats[key] = 0
 
     def _cell_x(self, v: float) -> int:
         """Clamp-then-truncate a float cell coordinate (clamping first
@@ -418,7 +386,7 @@ class GridIndex:
             dx = self._xs[cand] - lqx[qid]
             dy = self._ys[cand] - lqy[qid]
             d2 = dx * dx + dy * dy
-            reach = np.sqrt(self._group_kth(d2, qid, idx.size, kk)) * (1.0 + _SLACK)
+            reach = np.sqrt(_group_kth(d2, qid, idx.size, kk)) * (1.0 + _SLACK)
 
             # Phase 3: regather over the cells covering each bound disk —
             # a near-minimal candidate set (re-checking the cap).
@@ -437,46 +405,12 @@ class GridIndex:
             dx = self._xs[cand] - lqx[qid]
             dy = self._ys[cand] - lqy[qid]
             d2 = dx * dx + dy * dy
-
-            # Phase 4: every group holds >= kk candidates including the
-            # true top-k.  Pad the ragged groups into a rectangle, pick
-            # each row's kk smallest with one argpartition, and order
-            # them with one small argsort.  Squared distances are exact,
-            # so a tie is exact float equality; rows where a tie touches
-            # the answer fall back to an explicit (distance, id) re-rank.
-            mm = idx.size
-            counts = np.bincount(qid, minlength=mm)
-            pos = np.arange(d2.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            pad_d2 = np.full((mm, int(counts.max())), np.inf)
-            pad_d2[qid, pos] = d2
-            pad_rk = np.zeros(pad_d2.shape, dtype=np.intp)
-            pad_rk[qid, pos] = self._rank[cand]
-            rows = np.arange(mm)[:, None]
-            part = np.argpartition(pad_d2, kk - 1, axis=1)[:, :kk]
-            sub_d2 = pad_d2[rows, part]
-            order = np.argsort(sub_d2, axis=1)
-            top = part[rows, order]
-            top_d2 = sub_d2[rows, order]
-            # Risky rows: a tie inside the top-k (ordering among the tied
-            # entries is positional, not by id) or at the k-th distance
-            # (argpartition may have kept the wrong tied candidate).
-            kth2 = top_d2[:, -1]
-            risky = (np.count_nonzero(pad_d2 == kth2[:, None], axis=1)
-                     != np.count_nonzero(top_d2 == kth2[:, None], axis=1))
-            if kk > 1:
-                risky |= (top_d2[:, 1:] == top_d2[:, :-1]).any(axis=1)
-            ed = np.sqrt(top_d2).tolist()
-            eit = self._items_arr[pad_rk[rows, top]].tolist()
-            items = self._items
-            for row, qi in enumerate(idx.tolist()):
-                if risky[row]:
-                    pool = np.nonzero(pad_d2[row] <= kth2[row])[0]
-                    ranked = sorted(
-                        (pad_d2[row, c], int(pad_rk[row, c])) for c in pool
-                    )[:kk]
-                    out[qi] = [(math.sqrt(dd), items[rk]) for dd, rk in ranked]
-                else:
-                    out[qi] = list(zip(ed[row], eit[row]))
+            # Phase 4: padded partition, tie check and emission.
+            _kth2, answers = _top_k(
+                d2, qid, self._rank[cand], idx.size, kk, self._items, self._items_arr
+            )
+            for qi, answer in zip(idx.tolist(), answers):
+                out[qi] = answer
 
         fallback = 0
         for qi, answer in enumerate(out):
@@ -484,12 +418,10 @@ class GridIndex:
                 fallback += 1
                 x, y = pts[qi]
                 out[qi] = self.knn(x, y, kk)
-        self._stats["batch_queries"] += m
-        self._stats["batch_chunked"] += m - fallback
-        self._stats["batch_fallback"] += fallback
-        # Once per ~1024-query chunk: the registry mirror of the counters
-        # above (kernel-level counts; batch fallbacks also appear as
-        # scalar index_queries_total increments from the knn() calls).
+        # Once per ~1024-query chunk: ``chunked`` counts the padded
+        # kernel's answers, ``fallback`` the over-cap queries that took
+        # the single-query search (those also count as scalar
+        # index_queries_total from the knn() calls).
         reg = _obs._active
         if reg is not None:
             reg.inc("index_queries_total", float(m), _GRID_BATCH)
@@ -498,26 +430,14 @@ class GridIndex:
             reg.inc("index_batch_fallback_total", float(fallback), _GRID)
         return out
 
-    def range_batch(
-        self, points: Sequence[tuple[float, float]], radius: float
-    ) -> list[list[tuple[float, Hashable]]]:
-        """Per-point radius answers, identical to looped :meth:`within_radius`."""
-        pts = [(float(px), float(py)) for px, py in points]
-        if self._size == 0 or radius < 0.0:
-            return [[] for _ in pts]
-        out: list[list[tuple[float, Hashable]]] = []
-        for i in range(0, len(pts), self._CHUNK):
-            out.extend(self._range_chunk(pts[i : i + self._CHUNK], radius))
-        return out
-
     def range_batch_ids(
         self, points: Sequence[tuple[float, float]], radius: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR form of :meth:`range_batch`: ``(counts, items)``.
+        """Batched radius query in CSR form: ``(counts, items)``.
 
-        ``items`` concatenates every point's in-radius item ids in the
-        same per-point order as :meth:`range_batch`; ``counts[i]`` is
-        point *i*'s segment length.  No ``(distance, item)`` tuples are
+        ``items`` concatenates every point's in-radius item ids in
+        :meth:`within_radius` order; ``counts[i]`` is point *i*'s
+        segment length.  No ``(distance, item)`` tuples are
         materialized — this is the candidate-retrieval feed of
         vectorized ranking kernels (e.g. prominence), which recompute
         whatever scores they need in bulk.
@@ -527,17 +447,18 @@ class GridIndex:
             return np.zeros(len(pts), dtype=np.int64), np.empty(0, dtype=object)
         counts_parts, item_parts = [], []
         for i in range(0, len(pts), self._CHUNK):
-            pq, prk, _d = self._range_chunk_raw(pts[i : i + self._CHUNK], radius)
-            counts_parts.append(np.bincount(pq, minlength=len(pts[i : i + self._CHUNK])))
+            chunk = pts[i : i + self._CHUNK]
+            pq, prk = self._range_chunk(chunk, radius)
+            counts_parts.append(np.bincount(pq, minlength=len(chunk)))
             item_parts.append(self._items_arr[prk])
         return (
             np.concatenate(counts_parts).astype(np.int64),
-            np.concatenate(item_parts) if item_parts else np.empty(0, dtype=object),
+            np.concatenate(item_parts),
         )
 
-    def _range_chunk_raw(self, pts: list, radius: float):
-        """Shared range kernel: per-point-grouped ``(qid, storage-rank,
-        distance)`` arrays in final answer order."""
+    def _range_chunk(self, pts: list, radius: float):
+        """Range kernel: per-point-grouped ``(qid, storage-rank)`` arrays
+        in final answer order."""
         g = self._g
         qx = np.array([p[0] for p in pts], dtype=np.float64)
         qy = np.array([p[1] for p in pts], dtype=np.float64)
@@ -550,26 +471,11 @@ class GridIndex:
         dx = self._xs[cand] - qx[qid]
         dy = self._ys[cand] - qy[qid]
         d2 = dx * dx + dy * dy
-        d = np.sqrt(d2)
-        keep = d <= radius
+        keep = np.sqrt(d2) <= radius
         pq = qid[keep]
-        pd2 = d2[keep]
         prk = self._rank[cand[keep]]
-        order = np.lexsort((prk, pd2, pq))
-        return pq[order], prk[order], d[keep][order]
-
-    def _range_chunk(self, pts: list, radius: float) -> list[list[tuple[float, Hashable]]]:
-        m = len(pts)
-        pq, prk, d = self._range_chunk_raw(pts, radius)
-        ed = d.tolist()
-        eit = [self._items[r] for r in prk.tolist()]
-        ends = np.cumsum(np.bincount(pq, minlength=m)).tolist()
-        out = []
-        lo = 0
-        for hi in ends:
-            out.append(list(zip(ed[lo:hi], eit[lo:hi])))
-            lo = hi
-        return out
+        order = np.lexsort((prk, d2[keep], pq))
+        return pq[order], prk[order]
 
     # ------------------------------------------------------------------
     # Cell-block helpers
@@ -619,12 +525,66 @@ class GridIndex:
         cand = np.arange(total) - np.repeat(ends - lens, lens) + np.repeat(lo, lens)
         return cand, np.repeat(qid, lens)
 
-    def _group_kth(self, d: np.ndarray, qid: np.ndarray, m: int, kk: int) -> np.ndarray:
-        """Per-group ``kk``-th smallest of ``d`` (groups = values of
-        ``qid``, each holding at least ``kk`` entries), via one padded
-        partition."""
-        counts = np.bincount(qid, minlength=m)
-        pos = np.arange(d.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        padded = np.full((m, int(counts.max())), np.inf)
-        padded[qid, pos] = d
-        return np.partition(padded, kk - 1, axis=1)[:, kk - 1]
+
+# ----------------------------------------------------------------------
+# Padded-partition kernels shared with the sharded index's flat plane
+# ----------------------------------------------------------------------
+def _group_kth(d: np.ndarray, qid: np.ndarray, m: int, kk: int) -> np.ndarray:
+    """Per-group ``kk``-th smallest of ``d`` (groups = values of
+    ``qid``, each holding at least ``kk`` entries), via one padded
+    partition."""
+    counts = np.bincount(qid, minlength=m)
+    pos = np.arange(d.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.full((m, int(counts.max())), np.inf)
+    padded[qid, pos] = d
+    return np.partition(padded, kk - 1, axis=1)[:, kk - 1]
+
+
+def _top_k(d2, qid, rank, m, kk, items, items_arr):
+    """The batch kernels' last phase: each group's top ``kk`` answer.
+
+    ``d2`` holds the candidates' squared distances, ``qid`` their group
+    (``0..m-1``, each holding >= ``kk`` candidates including the true
+    top-k) and ``rank`` their id rank, an index into ``items`` and
+    ``items_arr``.  Returns the groups' ``kk``-th squared distances and
+    their ``(distance, item)`` answers.
+
+    Pad the ragged groups into a rectangle, pick each row's ``kk``
+    smallest with one argpartition, and order them with one small
+    argsort.  Squared distances are exact, so a tie is exact float
+    equality; rows where a tie touches the answer fall back to an
+    explicit ``(distance, id)`` re-rank.
+    """
+    counts = np.bincount(qid, minlength=m)
+    pos = np.arange(d2.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pad_d2 = np.full((m, int(counts.max())), np.inf)
+    pad_d2[qid, pos] = d2
+    pad_rk = np.zeros(pad_d2.shape, dtype=np.intp)
+    pad_rk[qid, pos] = rank
+    rows = np.arange(m)[:, None]
+    part = np.argpartition(pad_d2, kk - 1, axis=1)[:, :kk]
+    sub_d2 = pad_d2[rows, part]
+    order = np.argsort(sub_d2, axis=1)
+    top = part[rows, order]
+    top_d2 = sub_d2[rows, order]
+    # Risky rows: a tie inside the top-k (ordering among the tied
+    # entries is positional, not by id) or at the k-th distance
+    # (argpartition may have kept the wrong tied candidate).
+    kth2 = top_d2[:, -1]
+    risky = (np.count_nonzero(pad_d2 == kth2[:, None], axis=1)
+             != np.count_nonzero(top_d2 == kth2[:, None], axis=1))
+    if kk > 1:
+        risky |= (top_d2[:, 1:] == top_d2[:, :-1]).any(axis=1)
+    ed = np.sqrt(top_d2).tolist()
+    eit = items_arr[pad_rk[rows, top]].tolist()
+    answers = []
+    for row in range(m):
+        if risky[row]:
+            pool = np.nonzero(pad_d2[row] <= kth2[row])[0]
+            ranked = sorted(
+                (pad_d2[row, c], int(pad_rk[row, c])) for c in pool
+            )[:kk]
+            answers.append([(math.sqrt(dd), items[rk]) for dd, rk in ranked])
+        else:
+            answers.append(list(zip(ed[row], eit[row])))
+    return kth2, answers

@@ -170,19 +170,16 @@ class KdTree:
     ) -> list[list[tuple[float, Hashable]]]:
         return [self.knn(x, y, k) for x, y in points]
 
-    def range_batch(
-        self, points: Sequence[tuple[float, float]], radius: float
-    ) -> list[list[tuple[float, Hashable]]]:
-        return [self.within_radius(x, y, radius) for x, y in points]
-
     def range_batch_ids(
         self, points: Sequence[tuple[float, float]], radius: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(counts, items)`` form of :meth:`range_batch` (adapter
-        over the looped kernel; GridIndex owns the vectorized one)."""
-        from .base import csr_from_range_lists
-
-        return csr_from_range_lists(self.range_batch(points, radius))
+        """CSR ``(counts, items)``: each point's :meth:`within_radius`
+        item ids, concatenated."""
+        lists = [self.within_radius(x, y, radius) for x, y in points]
+        counts = np.array([len(lst) for lst in lists], dtype=np.int64)
+        items = np.empty(int(counts.sum()), dtype=object)
+        items[:] = [item for lst in lists for _d, item in lst]
+        return counts, items
 
     @staticmethod
     def _box_distance_sq(node: _Node, x: float, y: float) -> float:

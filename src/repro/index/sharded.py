@@ -11,7 +11,7 @@ Two properties fall out of the split:
   sized to the cluster's extent, not the whole region's — candidate
   sets around dense clusters shrink by orders of magnitude, which is
   exactly the heavy-tail case where the monolithic grid's batch kernel
-  falls back to per-query search (see ``GridIndex.counters()``).
+  falls back to per-query search (``index_batch_fallback_total``).
 * **Laziness.**  Tiles are built lazily, one frozen ``GridIndex``
   per tile over a row-slice of the columnar store.  A run that only
   ever queries a corner of the world only pays for that corner's tiles.
@@ -43,7 +43,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from ..obs import registry as _obs
-from .grid import GridIndex, _SLACK, _id_lists
+from .grid import GridIndex, _SLACK, _group_kth, _id_lists, _top_k
 
 __all__ = ["ShardedGridIndex", "auto_tiles_per_side"]
 
@@ -67,17 +67,6 @@ def auto_tiles_per_side(n: int) -> int:
     if n <= 0:
         return 1
     return max(1, min(_MAX_TILES_PER_SIDE, round(math.sqrt(n / _TARGET_PER_TILE))))
-
-
-def _group_kth(d: np.ndarray, qid: np.ndarray, m: int, kk: int) -> np.ndarray:
-    """Per-group ``kk``-th smallest of ``d`` (groups = values of ``qid``,
-    each holding at least ``kk`` entries) via one padded partition —
-    the same kernel as ``GridIndex._group_kth``."""
-    counts = np.bincount(qid, minlength=m)
-    pos = np.arange(d.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    padded = np.full((m, int(counts.max())), np.inf)
-    padded[qid, pos] = d
-    return np.partition(padded, kk - 1, axis=1)[:, kk - 1]
 
 
 class ShardedGridIndex:
@@ -146,15 +135,6 @@ class ShardedGridIndex:
         n = len(items)
         self._size = n
         self._target_per_cell = target_per_cell
-        # Counter lifecycle: instance-lifetime, like GridIndex — internal
-        # rebuilds preserve them; only reset_stats() zeroes.
-        if getattr(self, "_stats", None) is None:
-            self._stats = {
-                "batch_queries": 0,
-                "batch_settled": 0,
-                "batch_escalated": 0,
-                "batch_scalar": 0,
-            }
         if tiles_per_side is None:
             tiles_per_side = auto_tiles_per_side(n)
         if tiles_per_side < 1:
@@ -162,7 +142,6 @@ class ShardedGridIndex:
         t = int(tiles_per_side)
         self._t = t
         self._tiles: list = [None] * (t * t)
-        self._tiles_built = 0
         self._plane = None
         if n == 0:
             return
@@ -199,49 +178,6 @@ class ShardedGridIndex:
     def tiles_per_side(self) -> int:
         return self._t
 
-    def counters(self) -> dict:
-        """Routing counters plus tile-construction progress.
-
-        ``batch_settled`` counts batch queries answered entirely by
-        their home tile, ``batch_escalated`` those that needed the
-        bounded cross-tile merge, ``batch_scalar`` those whose home tile
-        was too small for ``k`` (full scalar routing).  ``tiles_built``
-        over ``tiles_nonempty`` shows how much of the world this index
-        actually materialized: tile-concentrated batches build only the
-        tiles they touch.  Inner-grid counters (see
-        ``GridIndex.counters()``) are summed over the built tiles.
-
-        Lifecycle: counters accumulate for the life of the instance —
-        internal rebuilds never zero them; only :meth:`reset_stats`
-        does.  The same counts stream to the process-wide registry
-        (``index_batch_*_total{backend="sharded"}``,
-        ``index_tiles_built_total``; inner tiles report under
-        ``backend="grid"`` — they *are* grid kernels) when
-        :mod:`repro.obs` is enabled.
-        """
-        out = dict(self._stats)
-        out["tiles_per_side"] = self._t
-        out["tiles_built"] = self._tiles_built
-        out["tiles_nonempty"] = (
-            int((np.diff(self._starts) > 0).sum()) if self._size else 0
-        )
-        inner = {"batch_queries": 0, "batch_chunked": 0, "batch_fallback": 0}
-        for tile in self._tiles:
-            if tile is not None:
-                for key, val in tile.counters().items():
-                    inner[key] += val
-        out["inner"] = inner
-        return out
-
-    def reset_stats(self) -> None:
-        """Explicitly zero the routing counters and every built tile's
-        inner-grid counters (nothing else does)."""
-        for key in self._stats:
-            self._stats[key] = 0
-        for tile in self._tiles:
-            if tile is not None:
-                tile.reset_stats()
-
     # ------------------------------------------------------------------
     # Tile plumbing
     # ------------------------------------------------------------------
@@ -257,7 +193,6 @@ class ShardedGridIndex:
             # inner argsort is the identity and local ties == global ties.
             tile = GridIndex.from_arrays(xy, ranks, self._target_per_cell)
             self._tiles[t] = tile
-            self._tiles_built += 1
             reg = _obs._active
             if reg is not None:
                 reg.inc("index_tiles_built_total", 1.0, _SHARDED)
@@ -508,9 +443,7 @@ class ShardedGridIndex:
             return []
         kk = min(k, self._size)
         t = self._t
-        self._stats["batch_queries"] += m
         if t == 1:
-            self._stats["batch_settled"] += m
             reg = _obs._active
             if reg is not None:
                 reg.inc("index_queries_total", float(m), _SHARDED_BATCH)
@@ -543,12 +476,11 @@ class ShardedGridIndex:
                 self._knn_plane_chunk(
                     qx[sub], qy[sub], qt[sub], sub.tolist(), kk, out, pending, scalar
                 )
-        self._stats["batch_settled"] += m - len(pending) - len(scalar)
-        self._stats["batch_escalated"] += len(pending)
-        self._stats["batch_scalar"] += len(scalar)
-        # Once per batch: the registry mirror of the routing counters
-        # (kernel-level counts; scalar-routed queries also hit the
-        # scalar index_queries_total from knn()).
+        # Once per batch: ``settled`` counts home-tile answers,
+        # ``escalated`` the cross-tile merges, ``scalar`` the queries
+        # whose home tile was too small for k (those also count as
+        # scalar index_queries_total from knn()).  Inner tiles count
+        # under backend="grid": they *are* grid kernels.
         reg = _obs._active
         if reg is not None:
             reg.inc("index_queries_total", float(m), _SHARDED_BATCH)
@@ -724,26 +656,11 @@ class ShardedGridIndex:
             dy = cys[cand] - lqy[qid]
             d2 = dx * dx + dy * dy
 
-            # Phase 4: padded partition + tie-aware ordering, exactly
-            # the inner grid's, with ranks already global.
-            mm = lidx2.size
-            cnt_q = np.bincount(qid, minlength=mm)
-            pos = np.arange(d2.size) - np.repeat(np.cumsum(cnt_q) - cnt_q, cnt_q)
-            pad_d2 = np.full((mm, int(cnt_q.max())), np.inf)
-            pad_d2[qid, pos] = d2
-            pad_rk = np.zeros(pad_d2.shape, dtype=np.intp)
-            pad_rk[qid, pos] = crank[cand]
-            rows_ix = np.arange(mm)[:, None]
-            part = np.argpartition(pad_d2, kk - 1, axis=1)[:, :kk]
-            sub_d2 = pad_d2[rows_ix, part]
-            order = np.argsort(sub_d2, axis=1)
-            top = part[rows_ix, order]
-            top_d2 = sub_d2[rows_ix, order]
-            kth2 = top_d2[:, -1]
-            risky = (np.count_nonzero(pad_d2 == kth2[:, None], axis=1)
-                     != np.count_nonzero(top_d2 == kth2[:, None], axis=1))
-            if kk > 1:
-                risky |= (top_d2[:, 1:] == top_d2[:, :-1]).any(axis=1)
+            # Phase 4: the inner grid's padded partition, tie check and
+            # emission, with ranks already global.
+            kth2, answers = _top_k(
+                d2, qid, crank[cand], lidx2.size, kk, self._items, self._items_arr
+            )
 
             # Settled test: the within-tile k-th bound against the
             # distance to the nearest interior tile wall.
@@ -761,31 +678,21 @@ class ShardedGridIndex:
                 np.minimum(lqy - bottom, topw - lqy),
             )
             settled = reach_k < clearance
-
-            ed = np.sqrt(top_d2).tolist()
-            eit = self._items_arr[pad_rk[rows_ix, top]].tolist()
-            items = self._items
-            for row in range(mm):
+            for row, answer in enumerate(answers):
                 qi = idx[lidx2[row]]
-                if not settled[row]:
-                    pending.append((qi, float(reach_k[row])))
-                elif risky[row]:
-                    pool = np.nonzero(pad_d2[row] <= kth2[row])[0]
-                    ranked = sorted(
-                        (pad_d2[row, c], int(pad_rk[row, c])) for c in pool
-                    )[:kk]
-                    out[qi] = [(math.sqrt(dd), items[rk]) for dd, rk in ranked]
+                if settled[row]:
+                    out[qi] = answer
                 else:
-                    out[qi] = list(zip(ed[row], eit[row]))
+                    pending.append((qi, float(reach_k[row])))
             handled[lidx2] = True
 
         for row in np.nonzero(~handled)[0].tolist():
             scalar.append(idx[row])
 
     def _range_flat(self, pts: list, radius: float):
-        """Shared range kernel: per-point-grouped ``(qid, id-rank, d2)``
-        arrays in final answer order — the cross-tile analogue of
-        ``GridIndex._range_chunk_raw``, with ranks already global."""
+        """Range kernel: per-point-grouped ``(qid, id-rank)`` arrays in
+        final answer order — the cross-tile analogue of
+        ``GridIndex._range_chunk``, with ranks already global."""
         m = len(pts)
         qx = np.array([p[0] for p in pts], dtype=np.float64)
         qy = np.array([p[1] for p in pts], dtype=np.float64)
@@ -820,43 +727,24 @@ class ShardedGridIndex:
                 )
         if not rank_parts:
             empty = np.empty(0, dtype=np.intp)
-            return empty, empty, np.empty(0, dtype=np.float64)
+            return empty, empty
         pq = np.concatenate(qid_parts)
         prk = np.concatenate(rank_parts)
         dx = self._xs[prk] - qx[pq]
         dy = self._ys[prk] - qy[pq]
         d2 = dx * dx + dy * dy
         order = np.lexsort((prk, d2, pq))
-        return pq[order], prk[order], d2[order]
-
-    def range_batch(
-        self, points: Sequence[tuple[float, float]], radius: float
-    ) -> list[list[tuple[float, Hashable]]]:
-        """Per-point radius answers, identical to looped :meth:`within_radius`."""
-        pts = [(float(px), float(py)) for px, py in points]
-        if self._size == 0 or radius < 0.0:
-            return [[] for _ in pts]
-        pq, prk, d2 = self._range_flat(pts, radius)
-        ed = np.sqrt(d2).tolist()
-        items = self._items
-        eit = [items[r] for r in prk.tolist()]
-        ends = np.cumsum(np.bincount(pq, minlength=len(pts))).tolist()
-        out = []
-        lo = 0
-        for hi in ends:
-            out.append(list(zip(ed[lo:hi], eit[lo:hi])))
-            lo = hi
-        return out
+        return pq[order], prk[order]
 
     def range_batch_ids(
         self, points: Sequence[tuple[float, float]], radius: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``(counts, items)`` form of :meth:`range_batch` — the
+        """Batched radius query in CSR form ``(counts, items)`` — the
         vectorized candidate feed, same contract as the inner grid's."""
         pts = [(float(px), float(py)) for px, py in points]
         if not pts or self._size == 0 or radius < 0.0:
             return np.zeros(len(pts), dtype=np.int64), np.empty(0, dtype=object)
-        pq, prk, _d2 = self._range_flat(pts, radius)
+        pq, prk = self._range_flat(pts, radius)
         counts = np.bincount(pq, minlength=len(pts)).astype(np.int64)
         items = np.empty(prk.size, dtype=object)
         items[:] = [self._items[r] for r in prk.tolist()]

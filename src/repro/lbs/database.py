@@ -7,8 +7,8 @@ directly — they only see :mod:`repro.lbs.interface`.
 Storage is columnar (struct of arrays): an ``(N, 2)`` float64 coordinate
 array, an int64 tid array, and typed attribute :class:`~repro.lbs.columns.Column`
 arrays with null masks.  :class:`~repro.lbs.LbsTuple` rows are lazy
-*views* materialized on demand, so the scalar API (``get``, ``knn``,
-iteration) is unchanged while ingest, ground truth, ``filtered()`` and
+*views* materialized on demand, so the scalar API (``get``, iteration)
+is unchanged while ingest, ground truth, ``filtered()`` and
 ``subsample()`` run as array operations:
 
 * :meth:`from_columns` ingests pre-columnar data (the
@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ..geometry import Point, Rect
-from ..index import make_index_arrays
 from .columns import Column, as_column, columns_from_rows
 from .tuples import LbsTuple
 
@@ -164,12 +163,6 @@ class SpatialDatabase:
         self._contiguous = bool(n == 0 or (np.diff(tids) == 1).all())
         if validate:
             self._validate(region)
-        # The database's own index serves knn()/within_radius() only —
-        # interfaces build theirs over the coordinates they rank with
-        # (possibly obfuscated).  Built lazily on first query, so ingest
-        # (and a world-cache load, whose arrays arrive pre-validated and
-        # mmapped) never pays for an index nobody asks for.
-        self._index_cache: Optional[object] = None
 
     def _validate(self, region: Rect) -> None:
         n = len(self._tids)
@@ -377,25 +370,6 @@ class SpatialDatabase:
                     if p:
                         d[name] = v
         return out
-
-    # ------------------------------------------------------------------
-    # kNN plumbing (used by interfaces)
-    # ------------------------------------------------------------------
-    @property
-    def _index(self):
-        if self._index_cache is None:
-            self._index_cache = make_index_arrays(self._xy, self._tids)
-        return self._index_cache
-
-    def knn(self, point: Point, k: int) -> list[tuple[float, LbsTuple]]:
-        """The k nearest tuples as ``(distance, tuple)``, ties by id."""
-        return [(d, self.get(tid)) for d, tid in self._index.knn(point.x, point.y, k)]
-
-    def within_radius(self, point: Point, radius: float) -> list[tuple[float, LbsTuple]]:
-        return [
-            (d, self.get(tid))
-            for d, tid in self._index.within_radius(point.x, point.y, radius)
-        ]
 
     # ------------------------------------------------------------------
     # Ground truth (experiment verification only)

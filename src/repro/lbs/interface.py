@@ -31,6 +31,7 @@ frozen JSON value — is :class:`~repro.lbs.spec.InterfaceSpec`.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -73,6 +74,16 @@ def realize_positions(
     eff[:, 0] = np.minimum(np.maximum(eff[:, 0], region.x0), region.x1)
     eff[:, 1] = np.minimum(np.maximum(eff[:, 1], region.y0), region.y1)
     return eff
+
+
+def _query_point(p) -> Point:
+    """``p`` as a :class:`Point`, rejecting a non-finite coordinate with
+    ``ValueError`` before any cache key, budget spend or index call (the
+    index contract is defined on finite coordinates only)."""
+    point = Point(*p)
+    if not (math.isfinite(point.x) and math.isfinite(point.y)):
+        raise ValueError(f"query point {point} has a non-finite coordinate")
+    return point
 
 
 class KnnInterface:
@@ -217,7 +228,7 @@ class KnnInterface:
         for free — only genuine service calls draw budget, the way the
         paper counts queries (§2.1: the rate limit is on network calls).
         """
-        point = Point(*point)
+        point = _query_point(point)
         key = self._cache.key(point.x, point.y)
         hit = self._cache.get(key)
         if hit is not None:
@@ -243,7 +254,7 @@ class KnnInterface:
         service call (e.g. the resilience wrapper, which only faults
         network calls) can ask without disturbing anything.
         """
-        point = Point(*point)
+        point = _query_point(point)
         return self._cache.peek(self._cache.key(point.x, point.y))
 
     def query_batch(self, points: Iterable[Point]) -> list[QueryAnswer]:
@@ -258,7 +269,7 @@ class KnnInterface:
         spent) before :class:`BudgetExhausted` is raised, exactly as a
         sequential loop would behave.
         """
-        pts = [Point(*p) for p in points]
+        pts = [_query_point(p) for p in points]
         if self._cache.capacity == 0:
             # Cache disabled: every point is a network call, duplicates
             # included — exactly like the loop of query() calls.
@@ -316,7 +327,7 @@ class KnnInterface:
         the affordable prefix and preserve sequential-loop semantics
         even when a batch would overrun the budget.
         """
-        pts = [Point(*p) for p in points]
+        pts = [_query_point(p) for p in points]
         remaining = self.budget.remaining
         if remaining is None:
             return len(pts)

@@ -11,7 +11,7 @@ kernels return bit-identical answers.
 * :class:`ProminenceRanking` — the Google-Places "prominence" order of
   paper §5.3: a weighted mix of a distance score and a static popularity
   score.  Its batch kernel prunes candidates through the index's
-  ``range_batch`` and scores the survivors in one NumPy pass (see
+  ``range_batch_ids`` and scores the survivors in one NumPy pass (see
   :meth:`ProminenceRanking.rank_batch` for the exactness argument).
 
 Effective locations differ from true ones when the service obfuscates
@@ -416,7 +416,7 @@ class ProminenceRanking:
 
         Exactness: a tuple beyond ``distance_cap`` scores exactly
         ``w_s * static`` (its distance score clips to 0), so any tuple
-        that is neither within the cap (``range_batch``) nor among the
+        that is neither within the cap (``range_batch_ids``) nor among the
         top-k of the static-only order cannot enter the top-k — each of
         those k static-order tuples already beats it (their final score
         only *gains* from ``w_d * dscore >= 0``, and on equal score the

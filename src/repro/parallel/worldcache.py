@@ -155,16 +155,14 @@ class WorldCache:
         cache = WorldCache("~/.cache/repro-worlds")
         world = cache.load_or_build(spec)     # builds + stores on miss
 
-    ``hits``/``misses`` count this instance's outcomes (the perf
-    benchmarks read them); an unreadable entry is evicted and rebuilt
-    rather than trusted.
+    Outcomes count in the active :mod:`repro.obs` registry
+    (``world_cache_hits_total`` / ``world_cache_misses_total``); an
+    unreadable entry is evicted and rebuilt rather than trusted.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root).expanduser()
         self.root.mkdir(parents=True, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     def entry_path(self, spec: WorldSpec) -> Path:
@@ -284,11 +282,9 @@ class WorldCache:
             world = None
         reg = _obs._active
         if world is not None:
-            self.hits += 1
             if reg is not None:
                 reg.inc("world_cache_hits_total")
             return world
-        self.misses += 1
         if reg is not None:
             reg.inc("world_cache_misses_total")
         with _span("world_build"):
@@ -317,15 +313,3 @@ class WorldCache:
             shutil.rmtree(entry, ignore_errors=True)
             removed += 1
         return removed
-
-    def counters(self) -> dict:
-        """Hit/miss counters plus how many entries are on disk.
-
-        Counters are per-instance and live for the instance's lifetime.
-        When an :mod:`repro.obs` registry is active, the same outcomes
-        also stream into ``world_cache_hits_total`` /
-        ``world_cache_misses_total``.
-        """
-        entries = sum(1 for p in self.root.iterdir()
-                      if p.is_dir() and not p.name.startswith("."))
-        return {"hits": self.hits, "misses": self.misses, "entries": entries}

@@ -45,6 +45,18 @@ def oracle_knn(points, x, y, k):
     return BruteForceIndex(points).knn(x, y, k)
 
 
+def range_ids(index, queries, r):
+    """``range_batch_ids`` as plain lists: (counts, items)."""
+    counts, items = index.range_batch_ids(queries, r)
+    return counts.tolist(), items.tolist()
+
+
+def looped_range_ids(index, queries, r):
+    """The CSR lists ``range_batch_ids`` must equal: looped ``within_radius``."""
+    lists = [index.within_radius(x, y, r) for x, y in queries]
+    return [len(lst) for lst in lists], [tid for lst in lists for _d, tid in lst]
+
+
 class TestKnnEquivalence:
     @given(
         st.lists(st.tuples(coord, coord), min_size=1, max_size=70),
@@ -107,7 +119,7 @@ class TestKnnEquivalence:
             assert index.knn(0, 0, 3) == []
             assert index.knn_batch([(0, 0), (1, 1)], 3) == [[], []]
             assert index.within_radius(0, 0, 5) == []
-            assert index.range_batch([(0, 0)], 5) == [[]]
+            assert range_ids(index, [(0, 0)], 5) == ([0], [])
 
 
 class TestRadiusEquivalence:
@@ -121,19 +133,19 @@ class TestRadiusEquivalence:
         ref = BruteForceIndex(pts).within_radius(qx, qy, r)
         for index in build_all(pts):
             assert index.within_radius(qx, qy, r) == ref, type(index).__name__
-            assert index.range_batch([(qx, qy)], r) == [ref]
+            assert range_ids(index, [(qx, qy)], r) == ([len(ref)], [t for _d, t in ref])
 
     def test_inclusive_boundary(self):
         pts = [(3.0, 4.0, 0)]
         for index in build_all(pts):
             assert index.within_radius(0, 0, 5.0) == [(pytest.approx(5.0), 0)]
-            assert index.range_batch([(0, 0)], 5.0)[0] == [(pytest.approx(5.0), 0)]
+            assert range_ids(index, [(0, 0)], 5.0) == ([1], [0])
 
     def test_negative_radius(self):
         pts = [(0.0, 0.0, 0)]
         for index in build_all(pts):
             assert index.within_radius(0, 0, -1.0) == []
-            assert index.range_batch([(0, 0)], -1.0) == [[]]
+            assert range_ids(index, [(0, 0)], -1.0) == ([0], [])
 
     @given(
         st.lists(st.tuples(coord, coord), min_size=1, max_size=40),
@@ -141,15 +153,12 @@ class TestRadiusEquivalence:
         st.floats(min_value=0, max_value=120),
     )
     @settings(max_examples=40, deadline=None)
-    def test_range_batch_ids_matches_range_batch(self, raw, queries, r):
-        # The CSR form must carry exactly range_batch's items, in its
+    def test_range_batch_ids_matches_looped_within_radius(self, raw, queries, r):
+        # The CSR form must carry exactly within_radius's items, in its
         # per-point order — every backend, empty query lists included.
         pts = [(x, y, i) for i, (x, y) in enumerate(raw)]
         for index in build_all(pts):
-            lists = index.range_batch(queries, r)
-            counts, items = index.range_batch_ids(queries, r)
-            assert counts.tolist() == [len(lst) for lst in lists]
-            assert items.tolist() == [tid for lst in lists for _d, tid in lst]
+            assert range_ids(index, queries, r) == looped_range_ids(index, queries, r)
 
 
 class TestClusteredEquivalence:

@@ -17,6 +17,7 @@ from repro.geometry import Point, Rect
 from repro.index import BruteForceIndex, QueryEngineConfig, ShardedGridIndex
 from repro.index.sharded import auto_tiles_per_side
 from repro.lbs import LbsTuple, LrLbsInterface, ObfuscationModel, SpatialDatabase
+from repro.obs import registry as obs
 
 
 def _pts(n, seed=0, span=100.0):
@@ -27,6 +28,16 @@ def _pts(n, seed=0, span=100.0):
 
 def _oracle(pts):
     return BruteForceIndex(pts)
+
+
+def _count(reg, key, backend="sharded"):
+    """One ``index_<key>_total`` series of ``reg`` (0 if never counted);
+    the sharded index's inner tiles count as ``backend="grid"``."""
+    return reg.get(f"index_{key}_total", {"backend": backend}) or 0.0
+
+
+def _nonempty_tiles(idx):
+    return int(np.count_nonzero(np.diff(idx._starts)))
 
 
 class TestTileBoundaryGeometry:
@@ -86,8 +97,7 @@ class TestSmallAndEmptyTiles:
         pts.append((100.0, 100.0, 80))  # stretch the bbox
         idx = ShardedGridIndex(pts, tiles_per_side=4)
         oracle = _oracle(pts)
-        stats = idx.counters()
-        assert stats["tiles_nonempty"] < 16
+        assert _nonempty_tiles(idx) < 16
         for x, y in [(95.0, 95.0), (50.0, 50.0), (5.0, 95.0), (0.0, 0.0)]:
             assert idx.knn(x, y, 7) == oracle.knn(x, y, 7)
             assert idx.within_radius(x, y, 60.0) == oracle.within_radius(x, y, 60.0)
@@ -119,8 +129,9 @@ class TestBatchPaths:
         rng = np.random.default_rng(6)
         queries = [(float(x), float(y)) for x, y in rng.random((300, 2)) * 110 - 5]
         # scattered homes keep m < homes * _DELEGATE_MIN_GROUP -> plane
-        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
-        assert idx.counters()["batch_queries"] == 300
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert _count(reg, "batch_queries") == 300
 
     def test_delegate_path_matches_oracle_and_stays_lazy(self):
         pts = self._clustered()
@@ -132,23 +143,22 @@ class TestBatchPaths:
         # only that neighborhood of tiles gets built
         queries = [(float(10 + dx), float(10 + dy))
                    for dx, dy in rng.normal(0, 3.0, (1200, 2))]
-        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
-        stats = idx.counters()
-        assert stats["tiles_built"] < stats["tiles_nonempty"]
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert reg.total("index_tiles_built_total") < _nonempty_tiles(idx)
 
     def test_stats_accounting(self):
         pts = self._clustered()
         idx = ShardedGridIndex(pts, tiles_per_side=3)
         rng = np.random.default_rng(8)
         queries = [(float(x), float(y)) for x, y in rng.random((150, 2)) * 100]
-        idx.knn_batch(queries, 4)
-        s = idx.counters()
-        assert (s["batch_settled"] + s["batch_escalated"] + s["batch_scalar"]
-                == s["batch_queries"] == 150)
-        # inner grid counters (satellite: the no-longer-silent fallback)
-        inner = s["inner"]
-        assert inner["batch_chunked"] + inner["batch_fallback"] \
-            == inner["batch_queries"]
+        with obs.collecting() as reg:
+            idx.knn_batch(queries, 4)
+        assert (_count(reg, "batch_settled") + _count(reg, "batch_escalated")
+                + _count(reg, "batch_scalar") == _count(reg, "batch_queries") == 150)
+        # inner grid split (the no-longer-silent fallback)
+        assert (_count(reg, "batch_chunked", "grid") + _count(reg, "batch_fallback", "grid")
+                == _count(reg, "batch_queries", "grid"))
 
     @staticmethod
     def _near(cx, cy, m, seed, spread=2.0):
@@ -167,8 +177,9 @@ class TestBatchPaths:
         at = below + self._near(10, 10, 1, 4)
         for queries, inner in ((below, 0), (at, 2 * group)):
             idx = ShardedGridIndex(pts, tiles_per_side=4)
-            assert idx.knn_batch(queries, 3) == oracle.knn_batch(queries, 3)
-            assert idx.counters()["inner"]["batch_queries"] == inner
+            with obs.collecting() as reg:
+                assert idx.knn_batch(queries, 3) == oracle.knn_batch(queries, 3)
+            assert _count(reg, "batch_queries", "grid") == inner
 
     def test_both_paths_agree_bit_for_bit(self):
         # The same scattered queries, once on their own (plane) and
@@ -177,12 +188,14 @@ class TestBatchPaths:
         rng = np.random.default_rng(9)
         queries = [(float(x), float(y)) for x, y in rng.random((300, 2)) * 110 - 5]
         plane_idx = ShardedGridIndex(pts, tiles_per_side=3)
-        plane = plane_idx.knn_batch(queries, 5)
-        assert plane_idx.counters()["inner"]["batch_queries"] == 0
+        with obs.collecting() as reg:
+            plane = plane_idx.knn_batch(queries, 5)
+        assert _count(reg, "batch_queries", "grid") == 0
         delegate_idx = ShardedGridIndex(pts, tiles_per_side=3)
         reps = 9 * ShardedGridIndex._DELEGATE_MIN_GROUP // len(queries) + 1
-        delegated = delegate_idx.knn_batch(queries * reps, 5)
-        assert delegate_idx.counters()["inner"]["batch_queries"] > 0
+        with obs.collecting() as reg:
+            delegated = delegate_idx.knn_batch(queries * reps, 5)
+        assert _count(reg, "batch_queries", "grid") > 0
         for r in range(reps):
             assert delegated[r * 300 : (r + 1) * 300] == plane
 
@@ -192,10 +205,10 @@ class TestBatchPaths:
         pts = self._clustered()
         idx = ShardedGridIndex(pts, tiles_per_side=3)
         queries = self._near(50, 48, ShardedGridIndex._DELEGATE_MIN_GROUP, 10)
-        assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
-        s = idx.counters()
-        assert s["batch_scalar"] == len(queries)
-        assert s["inner"]["batch_queries"] == 0
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
+        assert _count(reg, "batch_scalar") == len(queries)
+        assert _count(reg, "batch_queries", "grid") == 0
 
     def test_delegate_path_escalates_across_walls(self):
         # A delegated group hugging its home tile's right wall: the home
@@ -207,28 +220,29 @@ class TestBatchPaths:
         rng = np.random.default_rng(11)
         queries = [(float(wall - 0.5 * u), float(idx._y0 + (0.2 + 0.6 * v) * idx._th))
                    for u, v in rng.random((ShardedGridIndex._DELEGATE_MIN_GROUP, 2))]
-        assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
-        s = idx.counters()
-        assert s["batch_escalated"] > 0
-        assert s["inner"]["batch_queries"] == len(queries)
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == _oracle(pts).knn_batch(queries, 5)
+        assert _count(reg, "batch_escalated") > 0
+        assert _count(reg, "batch_queries", "grid") == len(queries)
 
     def test_single_tile_batch(self):
         pts = _pts(300, seed=12)
         idx = ShardedGridIndex(pts, tiles_per_side=1)
         rng = np.random.default_rng(13)
         queries = [(float(x), float(y)) for x, y in rng.random((120, 2)) * 100]
-        assert idx.knn_batch(queries, 4) == _oracle(pts).knn_batch(queries, 4)
-        s = idx.counters()
-        assert s["batch_settled"] == s["batch_queries"] == 120
-        assert s["tiles_built"] == 1
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 4) == _oracle(pts).knn_batch(queries, 4)
+        assert _count(reg, "batch_settled") == _count(reg, "batch_queries") == 120
+        assert reg.total("index_tiles_built_total") == 1
 
     def test_empty_batch_and_nonpositive_k(self):
         pts = _pts(100, seed=14)
         idx = ShardedGridIndex(pts, tiles_per_side=3)
-        assert idx.knn_batch([], 3) == []
         queries = [(10.0, 10.0), (60.0, 70.0)]
-        assert idx.knn_batch(queries, 0) == _oracle(pts).knn_batch(queries, 0)
-        assert idx.counters()["batch_queries"] == 0
+        with obs.collecting() as reg:
+            assert idx.knn_batch([], 3) == []
+            assert idx.knn_batch(queries, 0) == _oracle(pts).knn_batch(queries, 0)
+        assert _count(reg, "batch_queries") == 0
 
 
 class TestRouting:
@@ -288,8 +302,9 @@ class TestWorldBatch:
     def test_scattered_batch_matches_oracle(self, world, oracle, tiles):
         queries = self._queries(world, 400)
         idx = self._index(world, tiles)
-        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
-        assert idx.counters()["inner"]["batch_queries"] == 0  # flat plane
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert _count(reg, "batch_queries", "grid") == 0  # flat plane
 
     @pytest.mark.parametrize("tiles", [2, 3, 4])
     def test_dense_batch_matches_oracle(self, world, oracle, tiles):
@@ -298,18 +313,19 @@ class TestWorldBatch:
         m = tiles * tiles * ShardedGridIndex._DELEGATE_MIN_GROUP
         queries = self._queries(world, m)
         idx = self._index(world, tiles)
-        assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
-        assert idx.counters()["inner"]["batch_queries"] > 0  # delegated
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 5) == oracle.knn_batch(queries, 5)
+        assert _count(reg, "batch_queries", "grid") > 0  # delegated
 
     def test_k_exceeding_tile_population(self, world, oracle):
         # ~333 points per tile at T=3: k=500 forces cross-tile answers
         # for every query.
         queries = self._queries(world, 30)
         idx = self._index(world, 3)
-        assert idx.knn_batch(queries, 500) == oracle.knn_batch(queries, 500)
-        s = idx.counters()
-        assert s["batch_settled"] == 0
-        assert s["batch_escalated"] + s["batch_scalar"] == 30
+        with obs.collecting() as reg:
+            assert idx.knn_batch(queries, 500) == oracle.knn_batch(queries, 500)
+        assert _count(reg, "batch_settled") == 0
+        assert _count(reg, "batch_escalated") + _count(reg, "batch_scalar") == 30
 
 
 class TestRegistryScenarios:

@@ -1,7 +1,7 @@
-"""Index counter lifecycle: counters(), reset_stats(), registry mirrors.
+"""Index and cache counts in the ``repro.obs`` registry.
 
-Counters live for the *instance*: internal rebuilds must never zero them
-(they used to, silently), and only an explicit ``reset_stats()`` does.
+The registry is the only place index-path counts and world-cache
+outcomes are kept: each series counts what ran while it was collecting.
 """
 
 import numpy as np
@@ -18,30 +18,12 @@ from repro.worlds import registry as worlds
 def _grid(n=200, seed=0):
     rng = np.random.default_rng(seed)
     xy = rng.random((n, 2)) * 100.0
-    return GridIndex.from_arrays(xy, np.arange(n)), xy
+    return GridIndex.from_arrays(xy, np.arange(n))
 
 
 class TestGridLifecycle:
-    def test_counters_accumulate_and_reset_explicitly(self):
-        idx, xy = _grid()
-        idx.knn_batch([(10.0, 10.0), (50.0, 50.0)], 3)
-        c = idx.counters()
-        assert c["batch_queries"] == 2
-        idx.reset_stats()
-        assert idx.counters()["batch_queries"] == 0
-
-    def test_counters_survive_internal_rebuild(self):
-        idx, xy = _grid()
-        idx.knn_batch([(10.0, 10.0)], 3)
-        before = idx.counters()["batch_queries"]
-        # An in-place rebuild (what from_arrays does under the hood) must
-        # preserve the instance's counters — the silent-reset bug.
-        idx._build(np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]),
-                   list(range(len(xy))), 0.5)
-        assert idx.counters()["batch_queries"] == before == 1
-
     def test_registry_mirrors_batch_accounting(self):
-        idx, _xy = _grid()
+        idx = _grid()
         with obs.collecting() as reg:
             idx.knn_batch([(10.0, 10.0), (20.0, 20.0), (30.0, 30.0)], 3)
             idx.knn(40.0, 40.0, 3)
@@ -58,21 +40,10 @@ class TestShardedLifecycle:
         xy = rng.random((n, 2)) * 100.0
         return ShardedGridIndex.from_arrays(xy, np.arange(n), tiles_per_side=4)
 
-    def test_reset_zeroes_inner_tiles_too(self):
-        idx = self._sharded()
-        idx.knn_batch([(10.0, 10.0), (90.0, 90.0)], 3)
-        assert idx.counters()["batch_queries"] == 2
-        idx.reset_stats()
-        c = idx.counters()
-        assert c["batch_queries"] == 0
-        # Built tiles stay built; only their counters reset.
-        assert c["tiles_built"] > 0
-        assert c["inner"]["batch_queries"] == 0
-
     def test_inner_tiles_report_under_grid_backend(self):
         # A batch with _DELEGATE_MIN_GROUP queries per home tile takes
         # the per-tile GridIndex kernels, which count as grid —
-        # kernel-level accounting, documented in counters().
+        # kernel-level accounting.
         rng = np.random.default_rng(1)
         xy = rng.random((400, 2)) * 100.0
         idx = ShardedGridIndex.from_arrays(xy, np.arange(400),
@@ -86,18 +57,18 @@ class TestShardedLifecycle:
                        {"backend": "grid", "mode": "batch"}) is not None
         assert reg.total("index_tiles_built_total") > 0
 
-    def test_registry_mirrors_routing_counters(self):
+    def test_registry_counts_every_routing_path(self):
         idx = self._sharded()
         rng = np.random.default_rng(2)
         queries = [(float(x), float(y)) for x, y in rng.random((150, 2)) * 100]
         with obs.collecting() as reg:
             idx.knn_batch(queries, 30)  # k past some tiles' population
-        c = idx.counters()
+        c = {key: reg.get(f"index_{key}_total", {"backend": "sharded"})
+             for key in ("batch_queries", "batch_settled", "batch_escalated",
+                         "batch_scalar")}
         assert c["batch_scalar"] > 0
-        for key in ("batch_queries", "batch_settled", "batch_escalated",
-                    "batch_scalar"):
-            assert reg.get(f"index_{key}_total", {"backend": "sharded"}) \
-                == float(c[key])
+        assert (c["batch_settled"] + c["batch_escalated"] + c["batch_scalar"]
+                == c["batch_queries"] == 150)
 
 
 class TestCacheShims:

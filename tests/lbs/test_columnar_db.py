@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro import worlds
 from repro.core.aggregates import AttrEquals
 from repro.geometry import Point, Rect
+from repro.index import make_index_arrays
 from repro.lbs import Column, LbsTuple, LnrLbsInterface, LrLbsInterface, SpatialDatabase
 from repro.lbs.columns import column_from_values, columns_from_rows, concat_columns
 from repro.worlds import WorldSpec
@@ -55,11 +56,11 @@ def assert_db_identical(a: SpatialDatabase, b: SpatialDatabase) -> None:
             assert type(value) is type(y.attrs[key]), (x.tid, key)
     rng = np.random.default_rng(7)
     region = a.region
+    index_a = make_index_arrays(a.coords, a.tids)
+    index_b = make_index_arrays(b.coords, b.tids)
     for u, v in rng.random((8, 2)):
-        p = Point(region.x0 + u * region.width, region.y0 + v * region.height)
-        ka = [(d, t.tid, dict(t.attrs)) for d, t in a.knn(p, 6)]
-        kb = [(d, t.tid, dict(t.attrs)) for d, t in b.knn(p, 6)]
-        assert ka == kb
+        x, y = region.x0 + u * region.width, region.y0 + v * region.height
+        assert index_a.knn(x, y, 6) == index_b.knn(x, y, 6)
 
 
 @pytest.mark.parametrize("name", worlds.names())

@@ -85,12 +85,6 @@ class TestSpatialDatabase:
         with pytest.raises(ValueError):
             db.subsample(0.0, rng)
 
-    def test_knn_order(self):
-        db = make_db(25)
-        res = db.knn(Point(50, 50), 5)
-        dists = [d for d, _t in res]
-        assert dists == sorted(dists)
-
 
 class TestQueryBudget:
     def test_unlimited(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api import MaxSamples, Session, run_many
 from repro.lbs import ObfuscationModel, RankingSpec
+from repro.obs import registry as obs
 from repro.parallel import ParallelRunError, RunProgress, WorldCache, run_many_parallel
 from repro.worlds import registry
 
@@ -117,12 +118,16 @@ class TestBitIdentity:
     def test_world_loaded_through_cache(self, lr_specs, tmp_path):
         until = MaxSamples(10)
         cache = WorldCache(tmp_path)
-        par = run_many_parallel(lr_specs, until, workers=2, cache=cache)
-        assert cache.misses == 1
+        with obs.collecting() as first:
+            par = run_many_parallel(lr_specs, until, workers=2, cache=cache)
+        assert first.total("world_cache_misses_total") == 1
+        assert first.total("world_cache_hits_total") == 0
         assert_results_identical(sequential(lr_specs, until), par)
         # Second launch hits the cache and still matches.
-        par2 = run_many_parallel(lr_specs, until, workers=2, cache=cache)
-        assert cache.hits == 1
+        with obs.collecting() as second:
+            par2 = run_many_parallel(lr_specs, until, workers=2, cache=cache)
+        assert second.total("world_cache_hits_total") == 1
+        assert second.total("world_cache_misses_total") == 0
         assert_results_identical(par, par2)
 
     def test_prebuilt_world_supplied(self, lr_specs):

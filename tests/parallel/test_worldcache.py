@@ -9,11 +9,27 @@ import pytest
 
 from repro.parallel import WorldCache, WorldCacheError
 from repro.api import MaxSamples, Session
+from repro.obs import registry as obs
 from repro.worlds import registry
 
 
 def small_spec(name="paper/clustered", n=300):
     return registry.get(name).with_size(n)
+
+
+def load_counted(cache, spec, **kwargs):
+    """``cache.load_or_build`` and the outcome the registry counted for
+    it: ``"hit"`` or ``"miss"``."""
+    with obs.collecting() as reg:
+        world = cache.load_or_build(spec, **kwargs)
+    hits = reg.total("world_cache_hits_total")
+    misses = reg.total("world_cache_misses_total")
+    assert hits + misses == 1
+    return world, "hit" if hits else "miss"
+
+
+def published_entries(cache):
+    return [p for p in cache.root.iterdir() if p.is_dir() and not p.name.startswith(".")]
 
 
 def assert_worlds_identical(a, b):
@@ -34,10 +50,11 @@ class TestRoundTrip:
         cache = WorldCache(tmp_path)
         spec = small_spec()
         assert not cache.has(spec)
-        w1 = cache.load_or_build(spec)
+        w1, first = load_counted(cache, spec)
         assert cache.has(spec)
-        w2 = cache.load_or_build(spec)
-        assert cache.counters() == {"hits": 1, "misses": 1, "entries": 1}
+        w2, second = load_counted(cache, spec)
+        assert (first, second) == ("miss", "hit")
+        assert len(published_entries(cache)) == 1
         assert_worlds_identical(w1, w2)
 
     def test_hit_matches_fresh_build(self, tmp_path):
@@ -53,8 +70,8 @@ class TestRoundTrip:
         cache = WorldCache(tmp_path)
         spec = small_spec("wechat-like-1m", 500)
         loaded = cache.load_or_build(spec)
-        cached = cache.load_or_build(spec)
-        assert cache.hits == 1
+        cached, outcome = load_counted(cache, spec)
+        assert outcome == "hit"
         assert_worlds_identical(loaded, cached)
         assert_worlds_identical(cached, spec.build())
 
@@ -104,12 +121,13 @@ class TestStorageProperties:
     def test_seed_override_is_part_of_the_key(self, tmp_path):
         cache = WorldCache(tmp_path)
         spec = small_spec()
-        w5 = cache.load_or_build(spec, seed=5)
-        w6 = cache.load_or_build(spec, seed=6)
-        assert cache.misses == 2 and cache.counters()["entries"] == 2
+        w5, out5 = load_counted(cache, spec, seed=5)
+        w6, out6 = load_counted(cache, spec, seed=6)
+        assert (out5, out6) == ("miss", "miss")
+        assert len(published_entries(cache)) == 2
         assert not np.array_equal(w5.db.coords, w6.db.coords)
-        again = cache.load_or_build(spec, seed=5)
-        assert cache.hits == 1
+        again, outcome = load_counted(cache, spec, seed=5)
+        assert outcome == "hit"
         assert_worlds_identical(w5, again)
 
     def test_no_census_world(self, tmp_path):
@@ -140,8 +158,8 @@ class TestAtomicityAndEviction:
         (path / "xy.npy").write_bytes(b"garbage")
         with pytest.raises(WorldCacheError):
             cache.load(spec)
-        world = cache.load_or_build(spec)  # evicts + rebuilds
-        assert cache.misses == 1
+        world, outcome = load_counted(cache, spec)  # evicts + rebuilds
+        assert outcome == "miss"
         assert_worlds_identical(world, spec.build())
         assert_worlds_identical(cache.load_or_build(spec), world)
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import registry as obs
 from repro.parallel import SharedWorld, WorldCache, cleanup_stale_segments
 from repro.parallel.sharedmem import _PREFIX
 from repro.parallel.worldcache import WorldCacheError
@@ -19,11 +20,22 @@ def spec():
     return registry.get("paper/clustered").with_size(200)
 
 
+def load_counted(cache, spec):
+    """``cache.load_or_build`` and the outcome the registry counted for
+    it: ``"hit"`` or ``"miss"``."""
+    with obs.collecting() as reg:
+        world = cache.load_or_build(spec)
+    hits = reg.total("world_cache_hits_total")
+    misses = reg.total("world_cache_misses_total")
+    assert hits + misses == 1
+    return world, "hit" if hits else "miss"
+
+
 @pytest.fixture
 def cache(tmp_path, spec):
     cache = WorldCache(tmp_path)
-    cache.load_or_build(spec)  # publish one complete entry
-    assert cache.misses == 1
+    _world, outcome = load_counted(cache, spec)  # publish one complete entry
+    assert outcome == "miss"
     return cache
 
 
@@ -46,12 +58,11 @@ class TestTornEntries:
 
         with pytest.raises(WorldCacheError):
             cache.load(spec)
-        world = cache.load_or_build(spec)  # evicts, rebuilds, republishes
-        assert cache.misses == 2
+        world, outcome = load_counted(cache, spec)  # evicts, rebuilds, republishes
+        assert outcome == "miss"
         assert _world_fingerprint(world) == _world_fingerprint(spec.build())
         # The republished entry is whole again and serves as a hit.
-        cache.load_or_build(spec)
-        assert cache.hits == 1
+        assert load_counted(cache, spec)[1] == "hit"
 
     def test_truncated_meta_json_evicts_and_rebuilds(self, cache, spec):
         meta = cache.entry_path(spec) / "meta.json"
@@ -60,8 +71,8 @@ class TestTornEntries:
 
         with pytest.raises(WorldCacheError):
             cache.load(spec)
-        world = cache.load_or_build(spec)
-        assert cache.misses == 2
+        world, outcome = load_counted(cache, spec)
+        assert outcome == "miss"
         assert _world_fingerprint(world) == _world_fingerprint(spec.build())
 
     def test_missing_array_file_evicts_and_rebuilds(self, cache, spec):
@@ -69,8 +80,8 @@ class TestTornEntries:
 
         with pytest.raises(WorldCacheError):
             cache.load(spec)
-        assert cache.load_or_build(spec) is not None
-        assert cache.misses == 2
+        world, outcome = load_counted(cache, spec)
+        assert world is not None and outcome == "miss"
 
     def test_zero_byte_array_evicts_and_rebuilds(self, cache, spec):
         # The extreme torn write: the file exists but holds nothing.
@@ -78,8 +89,8 @@ class TestTornEntries:
 
         with pytest.raises(WorldCacheError):
             cache.load(spec)
-        assert cache.load_or_build(spec) is not None
-        assert cache.misses == 2
+        world, outcome = load_counted(cache, spec)
+        assert world is not None and outcome == "miss"
 
     def test_entry_claiming_wrong_world_evicts(self, cache, spec):
         # meta.json intact JSON but describing a different world than
@@ -92,8 +103,8 @@ class TestTornEntries:
 
         with pytest.raises(WorldCacheError, match="different world"):
             cache.load(spec)
-        world = cache.load_or_build(spec)
-        assert cache.misses == 2
+        world, outcome = load_counted(cache, spec)
+        assert outcome == "miss"
         assert _world_fingerprint(world) == _world_fingerprint(spec.build())
 
     def test_rebuilt_world_runs_bit_identically(self, cache, spec):
