@@ -46,8 +46,9 @@ import numpy as np
 
 from repro import worlds
 from repro.api import MaxSamples, Session
-from repro.index import make_index, make_index_arrays
-from repro.lbs import ObfuscationModel, SpatialDatabase
+from repro.geometry import Point
+from repro.index import QueryEngineConfig, make_index, make_index_arrays
+from repro.lbs import LnrLbsInterface, ObfuscationModel, SpatialDatabase
 from repro.obs import registry as obs
 from repro.parallel import WorldCache, run_many_parallel
 from repro.worlds.attrs import synthesize_columns, synthesize_tuples
@@ -261,13 +262,18 @@ def bench_parallel_runs(world, quick: bool) -> dict:
 
 
 def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
-    """Enabled-vs-disabled cost of the obs registry on the hottest path.
+    """Enabled-vs-disabled cost of the obs registry on the hottest paths.
 
     Runs the same grid ``knn_batch`` workload with metrics collection
     active and inactive, interleaved (so thermal/cache drift hits both
     arms alike), and reports the min-of-reps ratio.  ``check_report``
     holds ``overhead_frac`` to :data:`OBS_OVERHEAD_BUDGET` — the CI
     gate that keeps instrumentation off the perf trajectory.
+
+    The scalar arm times ``LnrLbsInterface.query`` over the same
+    distinct points (answer cache off, so every pass pays each query),
+    where a collecting registry costs a few labelled increments per
+    query; it is recorded as ``scalar_overhead_frac``, with no floor.
     """
     n = OBS_OVERHEAD_N[quick]
     spec = worlds.get("wechat-like-1m").with_size(n)
@@ -286,14 +292,32 @@ def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
             index.knn_batch(queries[i:i + batch], K)
         return time.perf_counter() - t0
 
-    run_once()  # warm the kernel and allocator before timing either arm
-    reg = obs.MetricsRegistry()
-    t_off = t_on = float("inf")
-    for _ in range(OBS_OVERHEAD_REPS):
-        with obs.paused():
-            t_off = min(t_off, run_once())
-        with obs.collecting(reg):
-            t_on = min(t_on, run_once())
+    api = LnrLbsInterface(
+        db, K, engine=QueryEngineConfig(index_backend="grid", cache_size=0),
+        index=index,
+    )
+    points = [Point(x, y) for x, y in queries]
+
+    def run_scalar() -> float:
+        gc.collect()
+        t0 = time.perf_counter()
+        for p in points:
+            api.query(p)
+        return time.perf_counter() - t0
+
+    def best_of_reps(run) -> tuple:
+        run()  # warm the kernel and allocator before timing either arm
+        reg = obs.MetricsRegistry()
+        t_off = t_on = float("inf")
+        for _ in range(OBS_OVERHEAD_REPS):
+            with obs.paused():
+                t_off = min(t_off, run())
+            with obs.collecting(reg):
+                t_on = min(t_on, run())
+        return t_off, t_on
+
+    t_off, t_on = best_of_reps(run_once)
+    s_off, s_on = best_of_reps(run_scalar)
     return {
         "n": n,
         "n_queries": nq,
@@ -302,6 +326,9 @@ def bench_obs_overhead(quick: bool, rng: np.random.Generator) -> dict:
         "disabled_seconds": round(t_off, 4),
         "enabled_seconds": round(t_on, 4),
         "overhead_frac": round(t_on / t_off - 1.0, 4),
+        "scalar_disabled_seconds": round(s_off, 4),
+        "scalar_enabled_seconds": round(s_on, 4),
+        "scalar_overhead_frac": round(s_on / s_off - 1.0, 4),
     }
 
 
@@ -449,7 +476,8 @@ def run_bench(quick: bool = False) -> dict:
     print(f"  obs overhead: {overhead['overhead_frac']:+.2%} "
           f"(enabled {overhead['enabled_seconds']}s vs "
           f"disabled {overhead['disabled_seconds']}s, "
-          f"grid knn_batch @ {overhead['n']:,} points)")
+          f"grid knn_batch @ {overhead['n']:,} points); scalar LNR query "
+          f"{overhead['scalar_overhead_frac']:+.2%} (no floor)")
     return {
         "meta": {
             "k": K,

@@ -228,7 +228,6 @@ class ObservationHistory:
         self.enabled = enabled
         #: Every located tuple observed, in first-seen order.
         self.locations = SiteSet()
-        self.attrs: dict[int, dict] = {}
         region = interface.region
         self.disks = DiskLedger(cell_size=max(region.width, region.height) / 64.0)
         self._cache: dict[tuple[float, float], QueryAnswer] = {}
@@ -298,7 +297,6 @@ class ObservationHistory:
         """Absorb an answer obtained elsewhere."""
         self._cache[(answer.query.x, answer.query.y)] = answer
         for r in answer.results:
-            self.attrs.setdefault(r.tid, dict(r.attrs))
             if r.location is not None:
                 self.locations.add(r.tid, r.location)
         radius = self._certified_radius(answer)
@@ -334,7 +332,7 @@ class ObservationHistory:
         they differ when the interface's snapped cache served a
         neighbour's answer.  Answers are a pure function of the service
         and their query point, and everything else the history holds
-        (locations, attrs, known disks) is a pure function of the
+        (located sites, known disks) is a pure function of the
         answers recorded, so :meth:`load_state_dict` rebuilds it all —
         even the insertion orders a resumed run's geometry code will
         iterate in.
@@ -387,7 +385,6 @@ class ObservationHistory:
         replies, not knowledge — nothing was revealed yet."""
         if not self.enabled:
             self.locations.clear()
-            self.attrs.clear()
             self._cache.clear()
             region = self.interface.region
             self.disks = DiskLedger(cell_size=max(region.width, region.height) / 64.0)

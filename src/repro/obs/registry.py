@@ -76,6 +76,11 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
+#: Most label dicts a registry remembers the sorted key of: call sites
+#: pass a handful of fixed label sets, so this bound only stops a buggy
+#: one from growing the memo without limit.
+_LABEL_KEY_MEMO_LIMIT = 1024
+
 
 def _label_key(labels: Optional[Mapping[str, str]]) -> LabelKey:
     if not labels:
@@ -133,12 +138,16 @@ class MetricsRegistry:
     used with, and using it as a different type raises ``ValueError``.
     """
 
-    __slots__ = ("_metrics", "label_limit", "spans", "span_limit")
+    __slots__ = ("_metrics", "label_limit", "spans", "span_limit", "_label_keys")
 
     def __init__(self, label_limit: int = 64, span_limit: int = 256) -> None:
         if label_limit < 1:
             raise ValueError("label_limit must be >= 1")
         self._metrics: Dict[str, _Metric] = {}
+        #: ``tuple(labels.items()) -> sorted label key``, for all-``str``
+        #: label dicts only: only a ``str`` equals a ``str``, so a hit
+        #: never returns the key of ``1``, ``True`` or ``1.0``.
+        self._label_keys: Dict[tuple, LabelKey] = {}
         self.label_limit = label_limit
         self.span_limit = span_limit
         #: Bounded trace of completed spans, oldest dropped first.
@@ -160,7 +169,21 @@ class MetricsRegistry:
         return metric
 
     def _series_key(self, metric: _Metric, labels: Optional[Mapping[str, str]]) -> LabelKey:
-        key = _label_key(labels)
+        if not labels:
+            key: LabelKey = ()
+        else:
+            items = tuple(labels.items())
+            memo = self._label_keys
+            try:
+                key = memo.get(items)
+            except TypeError:  # an unhashable label value
+                key = None
+            if key is None:
+                key = _label_key(labels)
+                if len(memo) < _LABEL_KEY_MEMO_LIMIT and all(
+                    type(k) is str and type(v) is str for k, v in items
+                ):
+                    memo[items] = key
         if key in metric.series or len(metric.series) < self.label_limit:
             return key
         # Cardinality bound hit: collapse onto the sentinel label set.
@@ -172,9 +195,12 @@ class MetricsRegistry:
         """Add ``value`` (must be >= 0) to a counter series."""
         if value < 0:
             raise ValueError(f"counter {name!r} cannot decrease (value={value})")
-        metric = self._metric(name, COUNTER, DEFAULT_BUCKETS)
+        metric = self._metrics.get(name)
+        if metric is None or metric.type != COUNTER:
+            metric = self._metric(name, COUNTER, DEFAULT_BUCKETS)
         key = self._series_key(metric, labels)
-        metric.series[key] = metric.series.get(key, 0.0) + value
+        series = metric.series
+        series[key] = series.get(key, 0.0) + value
 
     def set_gauge(self, name: str, value: float,
                   labels: Optional[Mapping[str, str]] = None) -> None:

@@ -37,6 +37,7 @@ import time
 from typing import Iterable, Optional
 
 from ..geometry import Point
+from ..lbs.interface import _query_point
 from ..obs import registry as _obs
 from .faults import FaultSpec, FaultState, RetriesExhausted, fault_error
 from .retry import RetryPolicy
@@ -141,11 +142,14 @@ class ResilientInterface:
         connection.  Answer values are unchanged either way (the wrapped
         interface's loop and batch kernels are bit-identical), and
         budget-exhaustion behaves like the sequential loop the batch
-        contract is defined against.
+        contract is defined against.  Every point is checked before the
+        first fault draw, so a non-finite one raises ``ValueError`` with
+        the fault stream, budget and cache untouched, as unwrapped.
         """
         if self.fault is None:
             return self.inner.query_batch(points)
-        return [self.query(p) for p in points]
+        pts = [_query_point(p) for p in points]
+        return [self.query(p) for p in pts]
 
     def affordable_prefix(self, points: Iterable[Point]) -> int:
         # Fault-unaware by design: with charge_faults=True a faulted

@@ -48,7 +48,6 @@ def assert_same_history(got, want):
     assert list(got._cache) == list(want._cache)
     assert list(got._cache.values()) == list(want._cache.values())
     assert list(got.locations.items()) == list(want.locations.items())
-    assert got.attrs == want.attrs
     assert got.disks.count == want.disks.count
     assert dict(got.disks._buckets) == dict(want.disks._buckets)
     assert list(got._staged.items()) == list(want._staged.items())

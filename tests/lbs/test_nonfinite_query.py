@@ -71,9 +71,17 @@ def test_resilient_wrapper_keeps_its_fault_stream(small_db, value):
     api.query(WARM)
     attempts = api.state.attempts
     used = inner.budget.used
+    cache = _cache_state(inner)
     for bad in _bad_points(value):
-        for call in (lambda: api.query(bad), lambda: api.query_batch([bad, MISS])):
+        # A good miss ahead of the bad point is not faulted, spent or
+        # answered either: every point is checked before a fault draw.
+        for call in (
+            lambda: api.query(bad),
+            lambda: api.query_batch([bad, MISS]),
+            lambda: api.query_batch([MISS, bad]),
+        ):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
             assert api.state.attempts == attempts
             assert inner.budget.used == used
+            assert _cache_state(inner) == cache

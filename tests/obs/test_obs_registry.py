@@ -96,6 +96,54 @@ class TestLabelOverflow:
         assert reg.get("c_total", {"q": "a"}) == 2.0
 
 
+class TestLabelKeyMemo:
+    """The registry remembers each all-``str`` label dict's sorted key;
+    series keys, the overflow collapse and snapshots stay as computed
+    from scratch."""
+
+    @pytest.mark.parametrize("first", [1, True, 1.0, "1"])
+    def test_equal_non_str_values_keep_their_own_series(self, first):
+        reg = MetricsRegistry()
+        values = [first] + [v for v in (1, True, 1.0, "1") if v is not first]
+        for _ in range(2):
+            for v in values:
+                reg.inc("v_total", 1.0, {"a": v})
+        assert reg.series("v_total") == {
+            (("a", "1"),): 4.0,
+            (("a", "True"),): 2.0,
+            (("a", "1.0"),): 2.0,
+        }
+
+    def test_insertion_order_does_not_split_a_series(self):
+        reg = MetricsRegistry()
+        for _ in range(3):
+            reg.inc("c_total", 1.0, {"kind": "lr", "mode": "scalar"})
+            reg.inc("c_total", 1.0, {"mode": "scalar", "kind": "lr"})
+        assert reg.series("c_total") == {(("kind", "lr"), ("mode", "scalar")): 6.0}
+
+    def test_overflow_and_snapshot_match_a_cold_registry(self):
+        labels = [{"q": f"v{i:02d}"} for i in range(70)]
+        warm, cold = MetricsRegistry(), MetricsRegistry()
+        for _ in range(2):
+            for lab in labels:
+                warm.inc("c_total", 1.0, lab)
+        for lab in labels + labels:
+            cold.inc("c_total", 1.0, dict(lab))
+            cold._label_keys.clear()
+        assert warm.to_dict() == cold.to_dict()
+        assert warm.get("c_total", {"q": OVERFLOW_LABEL_VALUE}) == 12.0
+        assert warm.get("c_total", {"q": "v63"}) == 2.0
+
+    def test_unhashable_value_and_memo_bound(self):
+        reg = MetricsRegistry()
+        reg.inc("u_total", 1.0, {"a": [1]})
+        assert reg.series("u_total") == {(("a", "[1]"),): 1.0}
+        for i in range(3000):
+            reg.inc("w_total", 1.0, {"q": str(i)})
+        assert len(reg._label_keys) <= 1024
+        assert reg.total("w_total") == 3000.0
+
+
 class TestSnapshotAndMerge:
     def test_snapshot_is_json_safe_and_round_trips(self):
         reg = MetricsRegistry()
