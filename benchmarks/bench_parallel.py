@@ -10,8 +10,9 @@ paper's largest surface):
   machine.
 * **Parallel fan-out** — :func:`repro.parallel.run_many_parallel` at 2
   workers must finish the same batch of runs ``PARALLEL_FLOOR``x faster
-  than at 1 worker (both pay the same export/fork machinery, so this is
-  pure scaling).  One warm-up call per worker count comes first (its
+  than at 1 worker (both pay the same pool start, and forked workers
+  inherit the world, so neither exports it: this is pure scaling).  One
+  warm-up call per worker count comes first (its
   ratio is recorded as the cold ratio, not asserted), then
   ``PARALLEL_ROUNDS`` interleaved rounds; the floor holds the ratio of
   the best round times.  Conditional on the machine actually having the
@@ -52,7 +53,7 @@ QUICK_N = 100_000
 FULL_N = 1_000_000
 RUNS = 6
 #: Per-run stopping rule: long enough that per-sample estimation work
-#: dominates the fixed export/fork/index overhead of a launch.
+#: dominates the fixed fork/index overhead of a launch.
 SAMPLES = {True: 40, False: 80}
 WORKER_COUNTS = {True: (1, 2), False: (1, 2, 4)}
 #: A cache hit mmap-loads arrays; even a small world clears 5x.

@@ -433,7 +433,7 @@ def run_many(
     bit-identical to the sequential drive.  Parallel runs must be fully
     declarative: every run's spec has to embed the same
     :class:`~repro.worlds.WorldSpec` (the world is rebuilt/cached once
-    and handed to the workers as one private cache entry), none may
+    and shared by every worker), none may
     have been advanced yet, and ``max_total_queries`` — a *shared*
     pool, inherently sequential bookkeeping — is not supported.
     """

@@ -12,6 +12,8 @@ Three layers, each usable alone:
 * :func:`run_many_parallel` — fan independent estimation runs across a
   process pool over one shared world, bit-identical to the sequential
   :func:`repro.api.run_many` (which also fronts this via ``workers=``).
+  Forked workers inherit the world; ``spawn`` and ``forkserver``
+  workers attach to a :class:`SharedWorld` export of it.
 
 ::
 

@@ -2,18 +2,26 @@
 
 :func:`run_many_parallel` takes fully declarative runs — specs that all
 embed the *same* :class:`~repro.worlds.WorldSpec`, paired with stopping
-rules — builds (or cache-loads) the world once, exports it as a private
-:class:`~repro.parallel.WorldCache` entry (:class:`SharedWorld`), and
-fans the runs across a pool of worker processes.  Results
-are **bit-identical** to driving the same specs sequentially through
-:func:`repro.api.run_many`: runs are independent (each owns its seed,
-RNG stream, budget, and answer cache), so distributing them changes
-nothing about what any single run computes.
+rules — builds (or cache-loads) the world once and fans the runs
+across a pool of worker processes.  How a worker gets the world
+depends on the start method: a ``fork`` worker (the default where the
+platform has it) inherits the parent's world as it is, and nothing is
+exported; ``spawn`` and ``forkserver`` workers cannot inherit, so the
+world is first exported as a private
+:class:`~repro.parallel.WorldCache` entry (:class:`SharedWorld`) that
+each of them attaches to.  Results are **bit-identical** to driving
+the same specs sequentially through :func:`repro.api.run_many`: runs
+are independent (each owns its seed, RNG stream, budget, and answer
+cache), so distributing them changes nothing about what any single run
+computes.
 
 What is shared, and why it is safe:
 
-* the database columns — read-only mmaps of the exported entry's
-  files (a worker physically cannot mutate them);
+* the database columns — under fork, the parent's frozen
+  (``writeable=False``) arrays: an in-place write raises, and a write
+  that got past the flag would stay in the writing worker's own pages
+  (copy-on-write); otherwise, read-only mmaps of the exported entry's
+  files, which a worker cannot mutate at all;
 * per-worker realized obfuscation jitters — each worker calls
   :func:`~repro.lbs.interface.realize_positions`, the call an interface
   makes at construction, once per distinct
@@ -134,8 +142,8 @@ class ParallelRunError(RuntimeError):
 # Parent-side helpers
 # ----------------------------------------------------------------------
 def _default_context() -> mp.context.BaseContext:
-    # fork shares the parent's loaded modules for free; spawn is the
-    # portable fallback (everything shipped to workers pickles).
+    # fork shares the parent's loaded modules and world for free; spawn
+    # is the portable fallback (everything shipped to workers pickles).
     method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
     return mp.get_context(method)
 
@@ -227,10 +235,12 @@ def _execute_run(world, positions, indexes, run_index, spec_json, until,
     return run.result()
 
 
-def _worker_main(conn, collect, descriptor, untils, checkpoint_dir, state_every):
-    shared = SharedWorld.attach(descriptor)
+def _worker_main(conn, collect, source, untils, checkpoint_dir, state_every):
+    # ``source`` is the parent's World itself when this worker was
+    # forked (inherited, never pickled), else a SharedWorld descriptor.
+    shared = SharedWorld.attach(source) if isinstance(source, dict) else None
     try:
-        world = shared.world()  # one attach + database per worker
+        world = source if shared is None else shared.world()  # one per worker
         positions: dict = {}  # ObfuscationModel -> realized (N, 2) positions
         indexes: dict = {}    # (model or None, backend, auto_brute_max) -> index
 
@@ -242,7 +252,8 @@ def _worker_main(conn, collect, descriptor, untils, checkpoint_dir, state_every)
 
         serve(conn, collect, run_task)
     finally:
-        shared.close()
+        if shared is not None:
+            shared.close()
 
 
 # ----------------------------------------------------------------------
@@ -545,7 +556,10 @@ def run_many_parallel(
     world:
         The pre-built world to share, when the caller already has it;
         its spec's content hash must match the specs'.  Default: load
-        through ``cache`` when given, else build from the spec.
+        through ``cache`` when given, else build from the spec.  Forked
+        workers inherit this object as it is; for ``spawn`` and
+        ``forkserver`` workers it is exported to a private
+        :class:`SharedWorld` for the duration of the call.
     cache:
         A :class:`WorldCache` to load/store the built world through.
     checkpoint_dir / state_every:
@@ -557,6 +571,9 @@ def run_many_parallel(
     on_progress:
         Callback invoked in *this* process with a :class:`RunProgress`
         per completed sample of any run.
+    mp_context:
+        The ``multiprocessing`` context workers start from.  Default:
+        ``fork`` where the platform has it, else ``spawn``.
     retries:
         How many times a run whose *worker died or hung* is re-enqueued
         (resuming from its latest checkpoint file when available)
@@ -628,13 +645,15 @@ def run_many_parallel(
         os.makedirs(checkpoint_dir, exist_ok=True)
 
     ctx = mp_context if mp_context is not None else _default_context()
-    cleanup_stale_segments()
-    shared = SharedWorld.export(world)
-    try:
+    if ctx.get_start_method() == "fork":
+        export = contextlib.nullcontext()  # forked workers inherit the world
+    else:
+        cleanup_stale_segments()
+        export = SharedWorld.export(world)
+    with export as shared:
         return run_pool(
             ctx, workers, spec_jsons, _worker_main,
-            (shared.descriptor(), untils, checkpoint_dir, state_every),
+            (world if shared is None else shared.descriptor(), untils,
+             checkpoint_dir, state_every),
             retries=retries, run_deadline=run_deadline, on_progress=on_progress,
         )
-    finally:
-        shared.destroy()

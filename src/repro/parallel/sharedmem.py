@@ -6,11 +6,15 @@ fresh private root, a ``tempfile.mkdtemp`` directory (mode 0700) in
 ``/dev/shm`` when that exists, else in the temp directory.  The export
 yields a plain-dict *descriptor* that pickles across process
 boundaries; workers :meth:`~SharedWorld.attach` to it and load the
-entry with the cache's reader — read-only mmaps of the same files, the
-same format and hash checks, and one code path under both the fork and
-the spawn start method.  Every worker maps the same pages, and the
-ingest-time freeze (``writeable=False``) guarantees no worker can
+entry with the cache's reader — read-only mmaps of the same files and
+the same format and hash checks.  Every worker maps the same pages, and
+the ingest-time freeze (``writeable=False``) guarantees no worker can
 scribble on another's view.
+
+:func:`~repro.parallel.run_many_parallel` exports only for workers it
+starts with the ``spawn`` or ``forkserver`` method, which begin from a
+fresh interpreter.  A ``fork`` worker inherits the parent's world, so a
+fork fan-out exports nothing.
 
 Object columns that are not all strings are pickled into the entry
 (see :mod:`repro.parallel.worldcache`), which is why the root is

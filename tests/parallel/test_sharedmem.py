@@ -1,4 +1,5 @@
-"""SharedWorld: export/attach round trips, lifecycle, stale-export sweep."""
+"""SharedWorld: export/attach round trips, lifecycle, stale-export sweep,
+and which fan-outs export at all (spawn does, fork does not)."""
 
 import multiprocessing as mp
 import os
@@ -12,11 +13,13 @@ import numpy as np
 import pytest
 
 import repro
-from repro.api import MaxSamples, Session
+from repro.api import MaxSamples, Session, run_many
+from repro.obs import registry as obs
 from repro.parallel import (
     ParallelRunError,
     SharedWorld,
     cleanup_stale_segments,
+    executor,
     run_many_parallel,
 )
 from repro.parallel.sharedmem import _EXPORT_DIR, _PREFIX
@@ -195,13 +198,31 @@ class TestLifecycle:
                 os.unlink(stale_segment)
 
 
-class TestNothingLeftBehind:
-    """A fan-out removes its export and starts no resource tracker."""
+needs_fork = pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
+                                reason="no fork start method on this platform")
 
-    def test_no_export_after_run_many_parallel_returns(self):
+
+class TestNothingLeftBehind:
+    """A fan-out removes its export and starts no resource tracker.
+
+    The export checks run under spawn: a fork fan-out exports nothing,
+    so under fork they would pass without testing anything.
+    """
+
+    def test_no_export_after_run_many_parallel_returns(self, monkeypatch):
+        exported = []
+        real_export = SharedWorld.export
+
+        def counting_export(world):
+            exported.append(world)
+            return real_export(world)
+
+        monkeypatch.setattr(SharedWorld, "export", counting_export)
         base = Session(registry.get("paper/clustered").with_size(200)).lr(k=5).count()
         specs = [base.seed(s).spec for s in (1, 2)]
-        run_many_parallel(specs, MaxSamples(3), workers=2)
+        run_many_parallel(specs, MaxSamples(3), workers=2,
+                          mp_context=mp.get_context("spawn"))
+        assert len(exported) == 1  # one export serves every spawned worker
         assert _export_names(os.getpid()) == set()
 
     def test_no_export_after_parallel_run_error(self):
@@ -209,11 +230,11 @@ class TestNothingLeftBehind:
         good = Session(wspec).lr(k=5).count().seed(1).spec
         bad = good.replace(sampler="census", seed=2)  # no census grid: raises
         with pytest.raises(ParallelRunError):
-            run_many_parallel([good, bad], MaxSamples(3), workers=2)
+            run_many_parallel([good, bad], MaxSamples(3), workers=2,
+                              mp_context=mp.get_context("spawn"))
         assert _export_names(os.getpid()) == set()
 
-    @pytest.mark.skipif("fork" not in mp.get_all_start_methods(),
-                        reason="the spawn start method runs a resource tracker")
+    @needs_fork  # the spawn start method runs a resource tracker
     def test_fan_out_starts_no_resource_tracker(self):
         # A fresh interpreter: this one's tracker may already be running.
         code = (
@@ -232,3 +253,53 @@ class TestNothingLeftBehind:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              stdout=subprocess.PIPE, text=True, timeout=120)
         assert out.stdout.splitlines()[-1] == "None"
+
+
+def _refuse_export(world):
+    raise AssertionError("a fork fan-out exported its world")
+
+
+@needs_fork
+class TestForkInheritsTheWorld:
+    """Forked workers use the parent's world itself: a fork fan-out never
+    exports it, not even for a worker respawned after a crash.  (The
+    spawn fan-outs above export it once.)"""
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        base = Session(registry.get("paper/clustered").with_size(300)).lr(k=5).count()
+        return [base.seed(s).spec for s in (1, 2, 3)]
+
+    @staticmethod
+    def sequential(specs, until):
+        return run_many([Session.from_spec(s).start(until) for s in specs])
+
+    @staticmethod
+    def assert_identical(seq, par):
+        assert [(r.estimate, r.queries, r.samples, r.trace) for r in par] == \
+            [(r.estimate, r.queries, r.samples, r.trace) for r in seq]
+
+    def test_fork_fan_out_never_exports(self, specs, monkeypatch):
+        monkeypatch.setattr(SharedWorld, "export", _refuse_export)
+        until = MaxSamples(10)
+        par = run_many_parallel(specs, until, workers=2,
+                                mp_context=mp.get_context("fork"))
+        self.assert_identical(self.sequential(specs, until), par)
+        assert _export_names(os.getpid()) == set()
+
+    def test_respawned_fork_worker_inherits_the_world(self, specs, tmp_path,
+                                                      monkeypatch):
+        def crash_once(run_index, samples, attempt):
+            if run_index == 1 and samples == 8 and attempt == 0:
+                os._exit(13)
+
+        monkeypatch.setattr(SharedWorld, "export", _refuse_export)
+        monkeypatch.setattr(executor, "_test_checkpoint_hook", crash_once)
+        until = MaxSamples(15)
+        with obs.collecting() as reg:
+            par = run_many_parallel(specs, until, workers=2, retries=1,
+                                    checkpoint_dir=str(tmp_path), state_every=5,
+                                    mp_context=mp.get_context("fork"))
+        assert reg.total("runs_recovered_total") == 1
+        self.assert_identical(self.sequential(specs, until), par)
+        assert _export_names(os.getpid()) == set()
