@@ -28,8 +28,10 @@ brute scan are excluded at 1M.
 
 Runs standalone (``python benchmarks/bench_scaling.py [--quick] [--out
 PATH]``) or under pytest (the ``--quick`` CI smoke asserts the sweep's
-structure and a modest batched-vs-scalar floor; absolute throughput
-regressions are ``bench_query_engine.py``'s job).
+structure and a modest batched-vs-scalar floor;
+``test_clustered_batch_floor`` times the CLUSTERED_BATCH_FLOOR pair on
+its own at 100k; absolute throughput regressions are
+``bench_query_engine.py``'s job).
 """
 
 from __future__ import annotations
@@ -559,6 +561,15 @@ def run_bench(quick: bool = False) -> dict:
     }
 
 
+def check_batch_gate(gate: dict, n: int) -> None:
+    """CLUSTERED_BATCH_FLOOR on one ``bench_batch_gate`` result."""
+    assert gate["ratio"] >= CLUSTERED_BATCH_FLOOR, (
+        f"paper/clustered@{n}: batched kNN only "
+        f"{gate['ratio']:.1f}x the scalar path, best of "
+        f"{gate['rounds']} rounds (floor {CLUSTERED_BATCH_FLOOR}x)"
+    )
+
+
 def check_report(report: dict) -> None:
     """Structural floor shared by CI and the standalone run."""
     meta = report["meta"]
@@ -629,12 +640,7 @@ def check_report(report: dict) -> None:
             )
         if (row["world"] == "paper/clustered" and row["n"] >= 100_000
                 and "grid" in row["backends"]):
-            gate = row["backends"]["grid"]["batch_gate"]
-            assert gate["ratio"] >= CLUSTERED_BATCH_FLOOR, (
-                f"paper/clustered@{row['n']}: batched kNN only "
-                f"{gate['ratio']:.1f}x the scalar path, best of "
-                f"{gate['rounds']} rounds (floor {CLUSTERED_BATCH_FLOOR}x)"
-            )
+            check_batch_gate(row["backends"]["grid"]["batch_gate"], row["n"])
         cache = row["world_cache_seconds"]
         assert cache["hit"] > 0 and cache["store"] > 0
         if row["n"] >= 1_000_000:
@@ -688,6 +694,19 @@ def test_scaling_bench_quick(tmp_path):
     out = tmp_path / "BENCH_scaling.json"
     write_report(report, out)
     check_report(json.loads(out.read_text()))
+
+
+def test_clustered_batch_floor():
+    """CLUSTERED_BATCH_FLOOR on ``paper/clustered`` at 100k, the smallest
+    size it applies to, which the ``--quick`` sweep (10k only) never
+    reaches: the same gate, floor, rounds, queries and seed as the full
+    sweep's cell."""
+    n = 100_000
+    world = worlds.get("paper/clustered").with_size(n).build()
+    index = make_index_arrays(world.db.coords, world.db.tids, "grid")
+    gate = bench_batch_gate(index, world.region)
+    print(f"paper/clustered@{n}: {gate}")
+    check_batch_gate(gate, n)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ query then gathers candidates one row-slice at a time — a handful of
 NumPy operations per query instead of thousands of interpreted-Python
 node visits.  The batch entry points vectorize every phase across the
 whole batch: block growth, candidate gathering (one ragged CSR pass),
-k-th-distance selection (one padded partition), and final ordering (one
-lexsort).
+k-th-distance selection (one padded partition), a cut of each query's
+candidates to that bound, and final ordering (one padded argpartition
+and a small argsort per query).
 
 Exactness: all backends share the index contract's metric — squared
 distance ``dx*dx + dy*dy`` for ordering, ``sqrt`` of it for the returned
@@ -40,9 +41,13 @@ _GRID_SCALAR = {"backend": "grid", "mode": "scalar"}
 _GRID_BATCH = {"backend": "grid", "mode": "batch"}
 
 
-def _sq(v):
-    "Exact IEEE square, kept as multiplication (identical bits to dx * dx)."
-    return v * v
+def _kth(dx: np.ndarray, dy: np.ndarray, kk: int):
+    """Squared distances ``dx*dx + dy*dy`` and their ``kk``-th smallest,
+    from one in-place partition of a copy."""
+    d2 = dx * dx + dy * dy
+    part = d2.copy()
+    part.partition(kk - 1)
+    return d2, part[kk - 1]
 
 
 def _cell_order(cx: np.ndarray, cy: np.ndarray, g: int) -> np.ndarray:
@@ -137,8 +142,9 @@ class GridIndex:
         n = len(items)
         self._size = n
         #: The last scalar answer's final cell block ``(c0, c1, r0, r1,
-        #: storage indices)``, tried first by the next :meth:`knn`; it
-        #: only decides which block is ranked, never an answer.
+        #: xs, ys, id ranks)``, its points' coordinates and ranks already
+        #: gathered, tried first by the next :meth:`knn`; it only decides
+        #: which block is ranked, never an answer.
         self._last = None
         if n == 0:
             return
@@ -219,15 +225,19 @@ class GridIndex:
         cy = self._cell_y(y)
         # Successive queries of an edge search converge on one spot: try
         # the previous answer's final block first (see _last in _build).
-        pool = None
+        d2 = None
         last = self._last
         if last is not None:
-            c0, c1, r0, r1, cand = last
-            if c0 <= cx <= c1 and r0 <= cy <= r1 and cand.size >= kk:
-                d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, cand)
-                if wider is None:
-                    pool = cand[d2 <= kth2]
-        if pool is None:
+            c0, c1, r0, r1, bx, by, brank = last
+            if c0 <= cx <= c1 and r0 <= cy <= r1 and brank.size >= kk:
+                d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, bx, by)
+                if wider is not None:
+                    d2 = None
+        if d2 is None:
+            # Drop the stored block, and every local reference to it,
+            # before gathering the new one: holding both would only
+            # raise the peak.
+            self._last = last = bx = by = brank = None
             # Grow the block geometrically from the query's own cell
             # (prefix-sum counts are O(1)) until it holds kk points; a
             # bigger block only tightens the k-th bound.
@@ -244,34 +254,31 @@ class GridIndex:
                     break
                 r = 2 * r + 1
             cand = self._block_slice(c0, c1, r0, r1)
-            d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, cand)
+            bx = self._xs[cand]
+            by = self._ys[cand]
+            d2, kth2, wider = self._kth_bound(x, y, kk, c0, c1, r0, r1, bx, by)
             if wider is not None:
                 c0, c1, r0, r1 = wider
                 cand = self._block_slice(c0, c1, r0, r1)
-                dx = self._xs[cand] - x
-                dy = self._ys[cand] - y
-                d2 = dx * dx + dy * dy
-                kth2 = np.partition(d2, kk - 1)[kk - 1]
-            self._last = (c0, c1, r0, r1, cand)
-            pool = cand[d2 <= kth2]
-        ranked = sorted(
-            (_sq(self._xs[j] - x) + _sq(self._ys[j] - y), int(self._rank[j]))
-            for j in pool
-        )[:kk]
+                bx = self._xs[cand]
+                by = self._ys[cand]
+                d2, kth2 = _kth(bx - x, by - y, kk)
+            brank = self._rank[cand]
+            self._last = (c0, c1, r0, r1, bx, by, brank)
+        keep = d2 <= kth2
+        ranked = sorted(zip(d2[keep].tolist(), brank[keep].tolist()))[:kk]
         return [(math.sqrt(dd), self._items[rk]) for dd, rk in ranked]
 
-    def _kth_bound(self, x, y, kk, c0, c1, r0, r1, cand):
+    def _kth_bound(self, x, y, kk, c0, c1, r0, r1, bx, by):
         """Squared distances from ``(x, y)`` over a block of at least
-        ``kk`` points, their ``kk``-th smallest ``kth2``, and ``None``
-        when the block covers the cells of the disk of radius
-        ``sqrt(kth2)``, else the smallest block covering both.
+        ``kk`` points (coordinates ``bx``, ``by``), their ``kk``-th
+        smallest ``kth2``, and ``None`` when the block covers the cells
+        of the disk of radius ``sqrt(kth2)``, else the smallest block
+        covering both.
 
         The true k-th distance is at most ``sqrt(kth2)``, so a covering
         block holds every point within it, ties included."""
-        dx = self._xs[cand] - x
-        dy = self._ys[cand] - y
-        d2 = dx * dx + dy * dy
-        kth2 = np.partition(d2, kk - 1)[kk - 1]
+        d2, kth2 = _kth(bx - x, by - y, kk)
         reach = math.sqrt(kth2) * (1.0 + _SLACK)
         dc0 = self._cell_x(x - reach)
         dc1 = self._cell_x(x + reach)
@@ -297,11 +304,8 @@ class GridIndex:
         dx = self._xs[cand] - x
         dy = self._ys[cand] - y
         d2 = dx * dx + dy * dy
-        pool = cand[np.sqrt(d2) <= radius]
-        out = sorted(
-            (_sq(self._xs[j] - x) + _sq(self._ys[j] - y), int(self._rank[j]))
-            for j in pool
-        )
+        keep = np.sqrt(d2) <= radius
+        out = sorted(zip(d2[keep].tolist(), self._rank[cand[keep]].tolist()))
         return [(math.sqrt(dd), self._items[rk]) for dd, rk in out]
 
     # ------------------------------------------------------------------
@@ -386,7 +390,8 @@ class GridIndex:
             dx = self._xs[cand] - lqx[qid]
             dy = self._ys[cand] - lqy[qid]
             d2 = dx * dx + dy * dy
-            reach = np.sqrt(_group_kth(d2, qid, idx.size, kk)) * (1.0 + _SLACK)
+            kth2 = _group_kth(d2, qid, idx.size, kk)
+            reach = np.sqrt(kth2) * (1.0 + _SLACK)
 
             # Phase 3: regather over the cells covering each bound disk —
             # a near-minimal candidate set (re-checking the cap).
@@ -405,9 +410,14 @@ class GridIndex:
             dx = self._xs[cand] - lqx[qid]
             dy = self._ys[cand] - lqy[qid]
             d2 = dx * dx + dy * dy
-            # Phase 4: padded partition, tie check and emission.
+            # Phase 4: padded partition, tie check and emission, over
+            # the candidates within each query's phase-2 bound.  The
+            # true top k, and every tie at the k-th distance, lie within
+            # it (``<=`` keeps the ties); the rest only widen the rows.
+            keep = d2 <= kth2[sub][qid]
             _kth2, answers = _top_k(
-                d2, qid, self._rank[cand], idx.size, kk, self._items, self._items_arr
+                d2[keep], qid[keep], self._rank[cand[keep]], idx.size, kk,
+                self._items, self._items_arr,
             )
             for qi, answer in zip(idx.tolist(), answers):
                 out[qi] = answer
@@ -575,16 +585,16 @@ def _top_k(d2, qid, rank, m, kk, items, items_arr):
              != np.count_nonzero(top_d2 == kth2[:, None], axis=1))
     if kk > 1:
         risky |= (top_d2[:, 1:] == top_d2[:, :-1]).any(axis=1)
-    ed = np.sqrt(top_d2).tolist()
-    eit = items_arr[pad_rk[rows, top]].tolist()
-    answers = []
-    for row in range(m):
-        if risky[row]:
-            pool = np.nonzero(pad_d2[row] <= kth2[row])[0]
-            ranked = sorted(
-                (pad_d2[row, c], int(pad_rk[row, c])) for c in pool
-            )[:kk]
-            answers.append([(math.sqrt(dd), items[rk]) for dd, rk in ranked])
-        else:
-            answers.append(list(zip(ed[row], eit[row])))
+    answers = [
+        list(zip(ed, eit))
+        for ed, eit in zip(
+            np.sqrt(top_d2).tolist(), items_arr[pad_rk[rows, top]].tolist()
+        )
+    ]
+    for row in np.flatnonzero(risky).tolist():
+        pool = pad_d2[row] <= kth2[row]
+        ranked = sorted(
+            zip(pad_d2[row, pool].tolist(), pad_rk[row, pool].tolist())
+        )[:kk]
+        answers[row] = [(math.sqrt(dd), items[rk]) for dd, rk in ranked]
     return kth2, answers

@@ -1,5 +1,7 @@
 """The Theorem-1 cell oracle must reproduce ground-truth cells exactly."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,25 @@ class TestExactTopH:
             truth = true_topk_cell(locs[tid], others, h, box)
             assert out.exact
             assert out.measure * box.area == pytest.approx(truth.area(), rel=1e-6)
+
+
+class TestCoverageIdentity:
+    """Every point of the region lies in exactly h top-h cells, so the
+    exact top-h cell measures (fractions of the region) of all tuples
+    sum to h: the identity Eq. 2's unbiasedness rests on for exact
+    cells."""
+
+    @pytest.mark.parametrize("world", ["tiny_db", "small_db"])
+    @pytest.mark.parametrize("h", [1, 2, 3, 5])
+    def test_top_h_measures_sum_to_h(self, request, box, world, h):
+        db = request.getfixturevalue(world)
+        api, hist, oracle = make_oracle(db, box, LrAggConfig(use_mc_bounds=False), k=5)
+        measures = []
+        for tid, loc in db.locations().items():
+            out = oracle.compute(tid, loc, h=h)
+            assert out.exact, tid
+            measures.append(out.measure)
+        assert abs(math.fsum(measures) - h) <= 1e-12
 
 
 class TestMonteCarloFinish:

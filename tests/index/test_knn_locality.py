@@ -1,12 +1,16 @@
 """The scalar grid kNN on query sequences shaped like Algorithm 7's.
 
-``GridIndex.knn`` tries the previous answer's final cell block first.
-Every answer must still equal ``BruteForceIndex``'s bit for bit
+``GridIndex.knn`` tries the previous answer's final cell block first,
+its coordinates and id ranks stored with it, and ranks from the
+distances it computes over that block.  Every answer must still equal
+``BruteForceIndex``'s bit for bit
 (distances compared by ``.hex()``) along bisection walks that converge
 to about 1e-9 of the extent, with ``k`` changing between calls, over
 duplicate, tied, collinear and single-point inputs, with queries outside
 the bounding box and jumps between far-apart points; through a
-3x3-tile ``ShardedGridIndex`` too, whose tiles are grid indexes.
+3x3-tile ``ShardedGridIndex`` too, whose tiles are grid indexes; and a
+reuse hit must also hold after an interleaved ``knn_batch`` call and
+after a miss that had to widen its block.
 """
 
 import numpy as np
@@ -60,7 +64,8 @@ def exact(answer):
 
 
 def stored_size(grid):
-    return 0 if grid._last is None else grid._last[4].size
+    """Points in the stored block: the length of its id-rank array."""
+    return 0 if grid._last is None else grid._last[6].size
 
 
 @given(point_sets, st.lists(walk, min_size=1, max_size=4))
@@ -105,10 +110,9 @@ def test_rebuild_in_place_drops_the_stored_block(before, after, q, k):
         assert grid._last is not old
 
 
-@pytest.mark.parametrize("shape", ["uniform", "clustered", "duplicates"])
-@pytest.mark.parametrize("k", [1, 5, 40])
-def test_a_query_a_hair_away_reuses_the_stored_block(shape, k):
-    rng = np.random.default_rng(k)
+def world(shape, seed):
+    """3,000 points, ids shuffled, and the generator to query them with."""
+    rng = np.random.default_rng(seed)
     if shape == "uniform":
         xy = rng.uniform(0.0, EXTENT, (3_000, 2))
     elif shape == "clustered":
@@ -117,11 +121,59 @@ def test_a_query_a_hair_away_reuses_the_stored_block(shape, k):
     else:
         xy = rng.uniform(0.0, EXTENT, (60, 2))[rng.integers(0, 60, 3_000)]
     ids = rng.permutation(len(xy))
-    grid = GridIndex.from_arrays(xy, ids)
-    oracle = BruteForceIndex.from_arrays(xy, ids)
+    return rng, GridIndex.from_arrays(xy, ids), BruteForceIndex.from_arrays(xy, ids)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "clustered", "duplicates"])
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_a_query_a_hair_away_reuses_the_stored_block(shape, k):
+    rng, grid, oracle = world(shape, k)
     for x, y in rng.uniform(0.0, EXTENT, (50, 2)):
         grid.knn(x, y, k)
         stored = grid._last
         hx, hy = x + 1e-9 * EXTENT, y - 1e-9 * EXTENT
         assert exact(grid.knn(hx, hy, k)) == exact(oracle.knn(hx, hy, k))
         assert grid._last is stored
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_a_reuse_hit_after_an_interleaved_batch(k):
+    # Uniform points: no batch query exceeds the kernel's cap, so none
+    # takes the scalar fallback, which would store its own block.
+    rng, grid, oracle = world("uniform", k)
+    for x, y in rng.uniform(0.0, EXTENT, (30, 2)):
+        grid.knn(x, y, k)
+        stored = grid._last
+        batch = [tuple(p) for p in rng.uniform(0.0, EXTENT, (20, 2))]
+        for (bx, by), answer in zip(batch, grid.knn_batch(batch, k)):
+            assert exact(answer) == exact(oracle.knn(bx, by, k))
+        hx, hy = x + 1e-9 * EXTENT, y - 1e-9 * EXTENT
+        assert exact(grid.knn(hx, hy, k)) == exact(oracle.knn(hx, hy, k))
+        assert grid._last is stored
+
+
+@pytest.mark.parametrize("k", [1, 5, 40])
+def test_a_reuse_hit_after_a_miss_that_widened(k):
+    rng, grid, oracle = world("clustered", k)
+    widened = []
+    real = grid._kth_bound
+
+    def spy(*args):
+        out = real(*args)
+        widened.append(out[2] is not None)
+        return out
+
+    grid._kth_bound = spy
+    hits = 0
+    for x, y in rng.uniform(0.0, EXTENT, (200, 2)):
+        grid._last = None
+        widened.clear()
+        grid.knn(x, y, k)
+        if widened != [True]:
+            continue  # the miss's first block already covered its disk
+        stored = grid._last
+        hx, hy = x + 1e-9 * EXTENT, y - 1e-9 * EXTENT
+        assert exact(grid.knn(hx, hy, k)) == exact(oracle.knn(hx, hy, k))
+        assert grid._last is stored
+        hits += 1
+    assert hits >= 10
