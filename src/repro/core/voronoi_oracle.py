@@ -65,6 +65,10 @@ _KEY_QUANTUM = 1e-7
 #: Sides of the inscribed polygon approximating the max-radius disk.
 _DISK_NGON = 256
 
+#: Nearest sites a region build starts from; its take/needed loop adds
+#: more when the region's reach calls for them.
+FIRST_TAKE = 24
+
 
 @dataclass
 class CellOutcome:
@@ -260,7 +264,7 @@ class TopHCellOracle:
             bisector_halfplane(t_loc, loc, label=label) for label, loc in fakes.items()
         ]
 
-        take = min(len(ranking), 24)
+        take = min(len(ranking), FIRST_TAKE)
         while True:
             constraints = [
                 bisector_halfplane(t_loc, loc, label=tid) for tid, loc in ranking.nearest(take)

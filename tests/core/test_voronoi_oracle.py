@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import ObservationHistory, TopHCellOracle
+from repro.core.bounds import MonteCarloFinish
 from repro.core.config import LrAggConfig
-from repro.geometry import polygon_disk_area, true_topk_cell, true_voronoi_cell
+from repro.geometry import ConvexPolygon, Rect, polygon_disk_area, true_topk_cell, true_voronoi_cell
 from repro.lbs import LrLbsInterface, QueryBudget, BudgetExhausted
 from repro.sampling import UniformSampler
 
@@ -121,6 +122,39 @@ class TestMonteCarloFinish:
         mean = float(np.mean(estimates))
         # Loose tolerance: geometric trials are noisy at this sample size.
         assert mean == pytest.approx(true_inv, rel=0.35)
+
+    # The two tuples whose doubled bounding box fits their cell most
+    # tightly (p' = 0.42 and 0.35): the most trials land in the cell, so
+    # the fewest seeds tell a biased estimate from an unbiased one.
+    @pytest.mark.parametrize("tid", [13, 46])
+    def test_mc_unbiased_over_a_loose_bound(self, small_db, box, tid):
+        """The §3.2.4 finish run over an upper bound V' strictly looser
+        than the cell V: the box twice V's bounding box in each dimension.
+        The trial count r is geometric with success probability
+        p' = F(V)/F(V'), so the mean of r/F(V') over n seeds is 1/F(V)
+        with standard deviation sqrt(1 - p') / (p' F(V') sqrt(n))."""
+        locs = small_db.locations()
+        others = [p for i, p in locs.items() if i != tid]
+        cell = true_voronoi_cell(locs[tid], others, box)
+        bb = cell.bounding_rect()
+        cx, cy, w, h = (bb.x0 + bb.x1) / 2, (bb.y0 + bb.y1) / 2, bb.width, bb.height
+        upper = [ConvexPolygon.from_rect(Rect(cx - w, cy - h, cx + w, cy + h))]
+        sampler = UniformSampler(box)
+        api = LrLbsInterface(small_db, k=1)
+        outs = [
+            MonteCarloFinish(
+                ObservationHistory(api), sampler, tid, locs[tid], 1, upper,
+                np.random.default_rng(seed),
+            ).run()
+            for seed in range(150)
+        ]
+        f_cell = sampler.measure_polygon(cell)
+        f_upper = outs[0].upper_measure
+        p = f_cell / f_upper
+        assert p < 1.0 and max(out.trials for out in outs) > 1
+        sd = math.sqrt(1.0 - p) / (p * f_upper * math.sqrt(len(outs)))
+        z = (float(np.mean([out.inv_prob for out in outs])) - 1.0 / f_cell) / sd
+        assert abs(z) <= 3.0, z
 
 
 class TestMaxRadius:
